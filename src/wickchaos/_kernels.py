@@ -1,10 +1,7 @@
 """Hot numeric kernels: graded convolution, contraction products, Hermite evaluation.
 
-Each kernel ships in two interchangeable implementations: numba-jitted loops
-(the default whenever numba imports) and a pure-numpy path. Set the
-environment variable WICKCHAOS_BACKEND=numpy (or =numba) before import to
-force one. Both paths accumulate floating-point sums in the same per-cell
-order, so their outputs are bit-identical; tests assert this.
+One numpy implementation per kernel, so every result is a deterministic
+function of its inputs.
 
 Term layout convention: an expansion with m terms over d coordinates is a
 pair (exponents, coeffs) with exponents an (m, d) int64 array and coeffs an
@@ -13,18 +10,7 @@ pair (exponents, coeffs) with exponents an (m, d) int64 array and coeffs an
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-ENV_BACKEND = "WICKCHAOS_BACKEND"
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only where numba is absent
-    HAVE_NUMBA = False
 
 # Exact float64 factorials up to 170!; the 171 slot is +inf (171! overflows
 # float64), so index with exponents clipped to MAX_EXACT_FACTORIAL + 1.
@@ -37,33 +23,11 @@ PRUNE_EPS = 1e-300
 # Dense accumulator cap: 2**26 float64 cells = 512 MiB.
 GRID_CELL_CAP = 1 << 26
 
-
-def resolve_backend(env_value, numba_available):
-    """Pick a kernel backend name from an env-flag value ('numba'|'numpy'|None)."""
-    if env_value:
-        value = env_value.strip().lower()
-        if value not in ("numba", "numpy"):
-            raise ValueError(
-                f"unsupported {ENV_BACKEND} value {env_value!r}; use 'numba' or 'numpy'"
-            )
-        if value == "numba" and not numba_available:
-            raise ValueError(f"{ENV_BACKEND}=numba but numba is not importable")
-        return value
-    return "numba" if numba_available else "numpy"
-
-
-DEFAULT_BACKEND = resolve_backend(os.environ.get(ENV_BACKEND), HAVE_NUMBA)
-
-
-def active_backend(backend=None):
-    """Validate an explicit backend choice, or return the import-time default."""
-    if backend is None:
-        return DEFAULT_BACKEND
-    if backend not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {backend!r}; use 'numba' or 'numpy'")
-    if backend == "numba" and not HAVE_NUMBA:
-        raise ValueError("numba backend requested but numba is not importable")
-    return backend
+# np.convolve over the dense code ranges 0..max code does span_x * span_y
+# multiply-adds in C, against nx * ny in the per-term loop; it is used while
+# the ranges are within this factor of dense. Sparse inputs such as 1 + He_500
+# keep the loop.
+_DENSE_FACTOR = 8
 
 
 def grade_lex_order(exponents):
@@ -91,68 +55,58 @@ def _grid(exp_x, exp_y):
 
 def _extract(acc, radix):
     """Nonzero cells of a dense accumulator as (degree, lex)-sorted terms."""
-    codes = np.nonzero(acc)[0]
+    codes = np.flatnonzero(np.abs(acc) >= PRUNE_EPS)
     vals = acc[codes]
-    keep = np.abs(vals) >= PRUNE_EPS
-    codes = codes[keep]
-    vals = vals[keep]
     d = radix.shape[0]
     exps = np.empty((codes.shape[0], d), dtype=np.int64)
     rem = codes
     for i in range(d - 1, -1, -1):
         exps[:, i] = rem % radix[i]
         rem = rem // radix[i]
+    if d == 1:
+        # ascending codes are ascending degrees
+        return exps, vals
     order = grade_lex_order(exps)
     return np.ascontiguousarray(exps[order]), np.ascontiguousarray(vals[order])
 
 
 # ---------------------------------------------------------------------------
 # Graded convolution: out[alpha] = sum_{beta+gamma=alpha} x[beta] * y[gamma].
-# Per output cell the contributions accumulate with beta ascending in
-# (degree, lex) order, i.e. ascending grade pairs with lexicographic
-# tie-break, identically in both backends.
+# The grid radix on every axis exceeds max_x + max_y, so mixed-radix codes add
+# without carries: code(beta) + code(gamma) = code(beta + gamma). A 1-D
+# convolution of the two tables scattered densely by code therefore lands every
+# product in its cell and nothing else there.
 # ---------------------------------------------------------------------------
 
 
-def _convolve_acc_loop(exp_x, cx, exp_y, cy, strides, acc):
-    nx = cx.shape[0]
-    ny = cy.shape[0]
-    d = strides.shape[0]
-    code_y = np.zeros(ny, dtype=np.int64)
-    for j in range(ny):
-        c = 0
-        for i in range(d):
-            c += exp_y[j, i] * strides[i]
-        code_y[j] = c
-    for t in range(nx):
-        base = 0
-        for i in range(d):
-            base += exp_x[t, i] * strides[i]
-        v = cx[t]
-        for j in range(ny):
-            acc[base + code_y[j]] += v * cy[j]
-
-
-def _convolve_acc_numpy(exp_x, cx, exp_y, cy, strides, acc):
+def _convolve_acc(exp_x, cx, exp_y, cy, strides, acc):
     code_x = exp_x @ strides
     code_y = exp_y @ strides
-    for t in range(code_x.shape[0]):
-        acc[code_x[t] + code_y] += cx[t] * cy
+    span_x = int(code_x.max()) + 1
+    span_y = int(code_y.max()) + 1
+    if span_x * span_y <= _DENSE_FACTOR * code_x.shape[0] * code_y.shape[0]:
+        dense_x = np.bincount(code_x, weights=cx, minlength=span_x)
+        dense_y = np.bincount(code_y, weights=cy, minlength=span_y)
+        acc[: span_x + span_y - 1] += np.convolve(dense_x, dense_y)
+    else:
+        for t in range(code_x.shape[0]):
+            acc[code_x[t] + code_y] += cx[t] * cy
 
 
 # ---------------------------------------------------------------------------
-# Contraction (Hu-Meyer) product. For each pair of terms the contraction
-# multi-index r runs over 0 <= r <= min(alpha, beta) componentwise, in
+# Contractions of the Hu-Meyer product with |r| >= 1 (the r = 0 layer is the
+# graded convolution above). For each pair of terms the contraction
+# multi-index r runs over 0 < r <= min(alpha, beta) componentwise, in
 # odometer order (last coordinate fastest); each state contributes
 #   prod_i r_i! C(alpha_i, r_i) C(beta_i, r_i)
-# at exponent alpha + beta - 2r. max_r >= 0 caps the total contraction
-# order |r| (0 keeps only the contraction-free term); max_r < 0 means no cap.
+# at exponent alpha + beta - 2r. max_r >= 1 caps the total contraction
+# order |r|; max_r < 0 means no cap.
 # The per-coordinate factor is built by the integer-valued recurrence
 # f(r+1) = f(r) * (a-r) * (b-r) / (r+1), exact in float64 for small degrees.
 # ---------------------------------------------------------------------------
 
 
-def _hu_meyer_acc_loop(exp_x, cx, exp_y, cy, strides, max_r, acc):
+def _contraction_acc(exp_x, cx, exp_y, cy, strides, max_r, acc):
     nx = cx.shape[0]
     ny = cy.shape[0]
     d = strides.shape[0]
@@ -171,6 +125,15 @@ def _hu_meyer_acc_loop(exp_x, cx, exp_y, cy, strides, max_r, acc):
                 r[i] = 0
             r_total = 0
             while True:
+                k = d - 1
+                while k >= 0 and r[k] == r_cap[k]:
+                    r_total -= r[k]
+                    r[k] = 0
+                    k -= 1
+                if k < 0:
+                    break
+                r[k] += 1
+                r_total += 1
                 if max_r < 0 or r_total <= max_r:
                     f = 1.0
                     code = 0
@@ -184,15 +147,33 @@ def _hu_meyer_acc_loop(exp_x, cx, exp_y, cy, strides, max_r, acc):
                         f *= fi
                         code += (a + b - 2 * ri) * strides[i]
                     acc[code] += v * f
-                k = d - 1
-                while k >= 0 and r[k] == r_cap[k]:
-                    r_total -= r[k]
-                    r[k] = 0
-                    k -= 1
-                if k < 0:
-                    break
-                r[k] += 1
-                r_total += 1
+
+
+def _product_terms(exp_x, cx, exp_y, cy, max_r):
+    """Graded convolution plus, unless max_r == 0, the |r| >= 1 contractions."""
+    d = exp_x.shape[1]
+    if cx.shape[0] == 0 or cy.shape[0] == 0:
+        return np.empty((0, d), dtype=np.int64), np.empty(0)
+    radix, strides, cells = _grid(exp_x, exp_y)
+    acc = np.zeros(cells)
+    _convolve_acc(exp_x, cx, exp_y, cy, strides, acc)
+    if max_r != 0:
+        _contraction_acc(exp_x, cx, exp_y, cy, strides, max_r, acc)
+    return _extract(acc, radix)
+
+
+def convolve_terms(exp_x, cx, exp_y, cy):
+    """Graded coefficient convolution of two term tables."""
+    return _product_terms(exp_x, cx, exp_y, cy, 0)
+
+
+def hu_meyer_terms(exp_x, cx, exp_y, cy, max_contraction=-1):
+    """Contraction-product term table; max_contraction < 0 means all orders.
+
+    Its contraction-free part is accumulated exactly as in convolve_terms,
+    so max_contraction=0 reproduces convolve_terms bit for bit.
+    """
+    return _product_terms(exp_x, cx, exp_y, cy, int(max_contraction))
 
 
 # ---------------------------------------------------------------------------
@@ -205,38 +186,15 @@ def _hu_meyer_acc_loop(exp_x, cx, exp_y, cy, strides, max_r, acc):
 # ---------------------------------------------------------------------------
 
 
-def _eval_batch_loop(exp_t, coefs, pts, kmax, sqrts, normalized, out):
+def eval_batch(exp_t, coefs, pts, normalized=False):
+    """Evaluate a term table at an (n, d) array of points; returns (n,)."""
     n, d = pts.shape
-    m = coefs.shape[0]
-    kcap = 0
-    for i in range(d):
-        if kmax[i] > kcap:
-            kcap = kmax[i]
-    table = np.empty((d, kcap + 1))
-    for s in range(n):
-        for i in range(d):
-            x = pts[s, i]
-            table[i, 0] = 1.0
-            if kmax[i] >= 1:
-                table[i, 1] = x
-            if normalized:
-                for k in range(1, kmax[i]):
-                    table[i, k + 1] = (x * table[i, k] - sqrts[k] * table[i, k - 1]) / sqrts[k + 1]
-            else:
-                for k in range(1, kmax[i]):
-                    table[i, k + 1] = x * table[i, k] - k * table[i, k - 1]
-        v = 0.0
-        for t in range(m):
-            p = coefs[t]
-            for i in range(d):
-                p *= table[i, exp_t[t, i]]
-            v += p
-        out[s] = v
-
-
-def _eval_batch_numpy(exp_t, coefs, pts, kmax, sqrts, normalized, out):
-    n, d = pts.shape
-    kcap = int(kmax.max()) if d else 0
+    out = np.zeros(n)
+    if coefs.shape[0] == 0 or n == 0:
+        return out
+    kmax = exp_t.max(axis=0)
+    kcap = int(kmax.max())
+    sqrts = np.sqrt(np.arange(kcap + 2, dtype=np.float64))
     chunk = max(1, (1 << 22) // max(1, (kcap + 1) * d))
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
@@ -259,55 +217,4 @@ def _eval_batch_numpy(exp_t, coefs, pts, kmax, sqrts, normalized, out):
                 p = p * table[i, exp_t[t, i]]
             v += p
         out[lo:hi] = v
-
-
-if HAVE_NUMBA:
-    _convolve_acc_numba = njit(cache=True)(_convolve_acc_loop)
-    _hu_meyer_acc_numba = njit(cache=True)(_hu_meyer_acc_loop)
-    _eval_batch_numba = njit(cache=True)(_eval_batch_loop)
-
-
-def convolve_terms(exp_x, cx, exp_y, cy, backend=None):
-    """Graded coefficient convolution of two term tables."""
-    d = exp_x.shape[1]
-    if cx.shape[0] == 0 or cy.shape[0] == 0:
-        return np.empty((0, d), dtype=np.int64), np.empty(0)
-    radix, strides, cells = _grid(exp_x, exp_y)
-    acc = np.zeros(cells)
-    if active_backend(backend) == "numba":
-        _convolve_acc_numba(exp_x, cx, exp_y, cy, strides, acc)
-    else:
-        _convolve_acc_numpy(exp_x, cx, exp_y, cy, strides, acc)
-    return _extract(acc, radix)
-
-
-def hu_meyer_terms(exp_x, cx, exp_y, cy, max_contraction=-1, backend=None):
-    """Contraction-product term table; max_contraction < 0 means all orders."""
-    d = exp_x.shape[1]
-    if cx.shape[0] == 0 or cy.shape[0] == 0:
-        return np.empty((0, d), dtype=np.int64), np.empty(0)
-    radix, strides, cells = _grid(exp_x, exp_y)
-    acc = np.zeros(cells)
-    max_r = int(max_contraction)
-    if active_backend(backend) == "numba":
-        _hu_meyer_acc_numba(exp_x, cx, exp_y, cy, strides, max_r, acc)
-    else:
-        # The contraction enumeration is irregular; the fallback reuses the
-        # same scalar loop in plain python (small term counts only).
-        _hu_meyer_acc_loop(exp_x, cx, exp_y, cy, strides, max_r, acc)
-    return _extract(acc, radix)
-
-
-def eval_batch(exp_t, coefs, pts, normalized=False, backend=None):
-    """Evaluate a term table at an (n, d) array of points; returns (n,)."""
-    n = pts.shape[0]
-    out = np.zeros(n)
-    if coefs.shape[0] == 0 or n == 0:
-        return out
-    kmax = exp_t.max(axis=0)
-    sqrts = np.sqrt(np.arange(int(kmax.max()) + 2, dtype=np.float64))
-    if active_backend(backend) == "numba":
-        _eval_batch_numba(exp_t, coefs, pts, kmax, sqrts, normalized, out)
-    else:
-        _eval_batch_numpy(exp_t, coefs, pts, kmax, sqrts, normalized, out)
     return out

@@ -32,14 +32,14 @@ __all__ = [
 ]
 
 
-def wick_product(x: ChaosExpansion, y: ChaosExpansion, backend=None) -> ChaosExpansion:
+def wick_product(x: ChaosExpansion, y: ChaosExpansion) -> ChaosExpansion:
     """Wick (convolution) product X ⋄ Y."""
     _check_same_dim(x, y)
-    exps, vals = _kernels.convolve_terms(x.exponents, x.coeffs, y.exponents, y.coeffs, backend)
+    exps, vals = _kernels.convolve_terms(x.exponents, x.coeffs, y.exponents, y.coeffs)
     return ChaosExpansion._from_arrays(x.dim, exps, vals)
 
 
-def wick_power(x: ChaosExpansion, n: int, backend=None) -> ChaosExpansion:
+def wick_power(x: ChaosExpansion, n: int) -> ChaosExpansion:
     """n-th Wick power X^{⋄n}, n >= 1, by repeated squaring (O(log n) products)."""
     n = operator.index(n)
     if n < 1:
@@ -49,15 +49,15 @@ def wick_power(x: ChaosExpansion, n: int, backend=None) -> ChaosExpansion:
     k = n
     while True:
         if k & 1:
-            result = base if result is None else wick_product(result, base, backend=backend)
+            result = base if result is None else wick_product(result, base)
         k >>= 1
         if not k:
             return result
-        base = wick_product(base, base, backend=backend)
+        base = wick_product(base, base)
 
 
 def pointwise_product(
-    x: ChaosExpansion, y: ChaosExpansion, max_contraction: int | None = None, backend=None
+    x: ChaosExpansion, y: ChaosExpansion, max_contraction: int | None = None
 ) -> ChaosExpansion:
     """Ordinary product X · Y via the Hu-Meyer contraction formula.
 
@@ -72,9 +72,7 @@ def pointwise_product(
         cap = operator.index(max_contraction)
         if cap < 0:
             raise ValueError("max_contraction must be None or a non-negative integer")
-    exps, vals = _kernels.hu_meyer_terms(
-        x.exponents, x.coeffs, y.exponents, y.coeffs, cap, backend
-    )
+    exps, vals = _kernels.hu_meyer_terms(x.exponents, x.coeffs, y.exponents, y.coeffs, cap)
     return ChaosExpansion._from_arrays(x.dim, exps, vals)
 
 
@@ -102,7 +100,7 @@ def s_transform_eval(x: ChaosExpansion, h) -> float:
     return float(np.sum(x.coeffs * monomials))
 
 
-def wick_bound_check(xs, backend=None) -> tuple[float, float]:
+def wick_bound_check(xs) -> tuple[float, float]:
     """Norm inequality data for a Wick product of several factors.
 
     Returns (lhs, rhs) with lhs = ||X_1 ⋄ ... ⋄ X_n|| and
@@ -117,7 +115,7 @@ def wick_bound_check(xs, backend=None) -> tuple[float, float]:
     n = len(xs)
     prod = xs[0]
     for y in xs[1:]:
-        prod = wick_product(prod, y, backend=backend)
+        prod = wick_product(prod, y)
     lhs = l2_norm(prod)
     root = math.sqrt(n)
     rhs = 1.0

@@ -13,7 +13,6 @@ import sys
 import time
 
 from . import __version__
-from . import _kernels
 from .core import (
     expansion_hash,
     from_json_dict,
@@ -57,7 +56,6 @@ _DEFAULTS = {
         "ns": [16, 64, 128, 256, 512],
         "dim": 1,
         "degree": 1,
-        "backend": None,
         "out": "bench.csv",
     },
 }
@@ -183,31 +181,11 @@ def _cmd_dist(args) -> int:
     return 0
 
 
-def _bench_backends(requested):
-    if requested in ("numba", "numpy"):
-        return [_kernels.active_backend(requested)]
-    if requested in (None, "both"):
-        if _kernels.HAVE_NUMBA:
-            return ["numba", "numpy"]
-        return ["numpy"]
-    raise ValueError(f"unknown backend {requested!r}; use 'numba', 'numpy' or 'both'")
-
-
-def _bench_out_path(base: str, backend: str, multiple: bool) -> str:
-    if not multiple:
-        return base
-    stem, dot, ext = base.rpartition(".")
-    if not dot:
-        return f"{base}-{backend}"
-    return f"{stem}-{backend}.{ext}"
-
-
 def _cmd_bench(args) -> int:
     overrides = {
         "ns": [int(v) for v in args.ns.split(",") if v] if args.ns is not None else None,
         "dim": args.dim,
         "degree": args.degree,
-        "backend": args.backend,
         "out": args.out,
     }
     cfg = resolve_config("bench", _load_config(args.config), overrides)
@@ -219,43 +197,30 @@ def _cmd_bench(args) -> int:
     for k in range(1, degree + 1):
         entries.append(((k,) + (0,) * (dim - 1), 1.0 / k))
     x = make_expansion(dim, entries)
-    backends = _bench_backends(cfg["backend"])
-    timings = {}
-    for backend in backends:
-        # warm-up: excludes jit compilation from the timings
-        wick_product(x, x, backend=backend)
-        rows = []
-        for n in ns:
-            t0 = time.perf_counter()
-            w = wick_power(x, n, backend=backend)
-            millis = (time.perf_counter() - t0) * 1000.0
-            rows.append((n, w.max_degree, w.n_terms, millis))
-        # strategy self-check: repeated squaring against the iterated product
-        check_n = 16
-        w_sq = wick_power(x, check_n, backend=backend)
-        w_it = x
-        for _ in range(check_n - 1):
-            w_it = wick_product(w_it, x, backend=backend)
-        dev = max_coeff_deviation(w_sq, w_it)
-        if dev > 1e-12:
-            sys.stderr.write(f"bench self-check failed on {backend}: deviation {dev:.3e}\n")
-            return 1
-        path = _bench_out_path(cfg["out"], backend, len(backends) > 1)
-        with open(path, "w", newline="\n") as fh:
-            fh.write(f"# tool: wickchaos {__version__}\n")
-            fh.write(f"# backend: {backend}\n")
-            fh.write(f"# dim: {dim}\n# degree: {degree}\n")
-            fh.write("n,degree,coeff_count,millis\n")
-            for n, deg, count, millis in rows:
-                fh.write(f"{n},{deg},{count},{millis:.3f}\n")
-        timings[backend] = dict((r[0], r[3]) for r in rows)
-        sys.stdout.write(f"wrote {path}\n")
-    if len(backends) == 2 and ns:
-        sys.stdout.write("n  numba_ms  numpy_ms  speedup\n")
-        for n in ns:
-            tn, tp = timings["numba"][n], timings["numpy"][n]
-            ratio = tp / tn if tn > 0 else float("inf")
-            sys.stdout.write(f"{n}  {tn:.3f}  {tp:.3f}  {ratio:.1f}x\n")
+    rows = []
+    for n in ns:
+        t0 = time.perf_counter()
+        w = wick_power(x, n)
+        millis = (time.perf_counter() - t0) * 1000.0
+        rows.append((n, w.max_degree, w.n_terms, millis))
+    # strategy self-check: repeated squaring against the iterated product
+    check_n = 16
+    w_sq = wick_power(x, check_n)
+    w_it = x
+    for _ in range(check_n - 1):
+        w_it = wick_product(w_it, x)
+    dev = max_coeff_deviation(w_sq, w_it)
+    if dev > 1e-12:
+        sys.stderr.write(f"bench self-check failed: deviation {dev:.3e}\n")
+        return 1
+    path = cfg["out"]
+    with open(path, "w", newline="\n") as fh:
+        fh.write(f"# tool: wickchaos {__version__}\n")
+        fh.write(f"# dim: {dim}\n# degree: {degree}\n")
+        fh.write("n,degree,coeff_count,millis\n")
+        for n, deg, count, millis in rows:
+            fh.write(f"{n},{deg},{count},{millis:.3f}\n")
+    sys.stdout.write(f"wrote {path}\n")
     return 0
 
 
@@ -297,8 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ns", help="comma-separated power list, e.g. 16,64,512")
     p.add_argument("--dim", type=int, help="basis dimension of the bench input")
     p.add_argument("--degree", type=int, help="degree of the bench input")
-    p.add_argument("--backend", choices=["numba", "numpy", "both"], help="kernel backend(s)")
-    p.add_argument("--out", help="output CSV path (per-backend suffix when comparing)")
+    p.add_argument("--out", help="output CSV path")
     p.set_defaults(func=_cmd_bench)
     return parser
 

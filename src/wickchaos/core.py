@@ -89,6 +89,35 @@ def _weighted_products(exponents, a, b):
     return direct
 
 
+# Terms of the exponential series summed past a truncation degree before it is
+# declared divergent in float64 (|h|^2 too large for exp(|h|^2) to be finite).
+_EXP_TAIL_MAX_TERMS = 100000
+
+
+def _exp_series(hsq: float, degree: int):
+    """Terms hsq^k / k! for k = 0..degree, and the tail sum_{k > degree} hsq^k / k!.
+
+    Both follow the forward recurrence term_k = term_{k-1} * (hsq / k); the
+    tail adds terms (all positive) until one is 0 or below 1e-18 of the sum.
+    """
+    ratios = np.empty(degree + 1)
+    ratios[0] = 1.0
+    ratios[1:] = hsq / np.arange(1.0, degree + 1.0)
+    with np.errstate(over="ignore"):
+        terms = np.cumprod(ratios)
+    term = float(terms[-1])
+    tail = 0.0
+    for k in range(degree + 1, degree + 1 + _EXP_TAIL_MAX_TERMS):
+        term *= hsq / k
+        tail += term
+        if term == 0.0 or term < tail * 1e-18:
+            return terms, tail
+    raise ValueError(
+        f"exponential-series tail past degree {degree} does not converge within "
+        f"{_EXP_TAIL_MAX_TERMS} terms for |h|^2 = {hsq!r}"
+    )
+
+
 class ChaosExpansion:
     """Finite coefficient table multi-index -> real over a fixed basis size.
 
@@ -232,7 +261,7 @@ def make_expansion(dim: int, entries) -> ChaosExpansion:
         if len(alpha) != dim:
             raise ValueError(f"multi-index {alpha} has length {len(alpha)}, expected {dim}")
         for e in alpha:
-            if not isinstance(e, (int, np.integer)) or e < 0:
+            if isinstance(e, bool) or not isinstance(e, (int, np.integer)) or e < 0:
                 raise ValueError(f"multi-index {alpha} has invalid exponent {e!r}")
         alpha = tuple(int(e) for e in alpha)
         if alpha in seen:
@@ -327,7 +356,9 @@ def exp_vector(h, max_degree: int) -> ExpVectorResult:
     The expansion carries coefficient h^alpha / alpha! for every |alpha| <=
     max_degree; tail_norm_sq is sum_{k > max_degree} |h|^(2k) / k!, summed
     forward in a stable cumulative form, so that
-    l2_norm_sq(expansion) + tail_norm_sq = exp(|h|^2) up to rounding.
+    l2_norm_sq(expansion) + tail_norm_sq = exp(|h|^2) up to rounding. Raises
+    ValueError when the tail does not converge in float64 (exp(|h|^2) out of
+    range).
     """
     h = np.asarray(h, dtype=np.float64)
     if h.ndim != 1 or h.shape[0] < 1:
@@ -362,21 +393,7 @@ def exp_vector(h, max_degree: int) -> ExpVectorResult:
     expansion = ChaosExpansion._from_arrays(
         d, np.array(rows, dtype=np.int64).reshape(len(rows), d), np.array(vals)
     )
-    # tail of sum_k |h|^(2k)/k! past the truncation degree
-    hsq = float(h @ h)
-    term = 1.0
-    for k in range(1, max_degree + 1):
-        term *= hsq / k
-    tail = 0.0
-    k = max_degree + 1
-    while True:
-        term *= hsq / k
-        tail += term
-        k += 1
-        if term == 0.0 or term < tail * 1e-18:
-            break
-        if k > max_degree + 100000:  # unreachable at sane |h|; defensive
-            break
+    _, tail = _exp_series(float(h @ h), max_degree)
     return ExpVectorResult(expansion=expansion, tail_norm_sq=tail)
 
 

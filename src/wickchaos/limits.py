@@ -23,15 +23,15 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import binom
 
-from ._kernels import FACTORIALS, MAX_EXACT_FACTORIAL
 from .core import (
     ChaosExpansion,
+    _exp_series,
     _weighted_products,
     expansion_hash,
     first_order_kernel,
     gamma,
-    multi_indexes_of_degree,
 )
 from .algebra import wick_power
 from .sampling import ks_critical_value, ks_statistic, sample_batch
@@ -73,93 +73,62 @@ def _normalized(x: ChaosExpansion) -> ChaosExpansion:
     return x / mean
 
 
-def _rescaled_normalized(xn: ChaosExpansion, n: int, backend=None) -> ChaosExpansion:
+def _rescaled_normalized(xn: ChaosExpansion, n: int) -> ChaosExpansion:
     # Gamma(1/n) is a ⋄-homomorphism, so Gamma(1/n) X^{⋄n} = (Gamma(1/n) X)^{⋄n};
     # scaling first keeps every intermediate bounded by the L2 norm, where the
     # raw power's central coefficients overflow float64 past n ~ 1000.
-    return wick_power(gamma(1.0 / n, xn), n, backend=backend)
+    return wick_power(gamma(1.0 / n, xn), n)
 
 
-def rescaled_wick_power(x: ChaosExpansion, n: int, backend=None) -> ChaosExpansion:
+def rescaled_wick_power(x: ChaosExpansion, n: int) -> ChaosExpansion:
     """Gamma(1/n) X^{⋄n} / E[X]^n, computed as (Gamma(1/n) (X/E[X]))^{⋄n}."""
     n = operator.index(n)
     if n < 1:
         raise ValueError("n must be >= 1")
     xn = _normalized(x)
-    return _rescaled_normalized(xn, n, backend=backend)
-
-
-def _exp_series_tail(hsq: float, degree: int) -> float:
-    """sum_{k > degree} hsq^k / k!, accumulated forward (all terms positive)."""
-    term = 1.0
-    for k in range(1, degree + 1):
-        term *= hsq / k
-    tail = 0.0
-    k = degree + 1
-    while True:
-        term *= hsq / k
-        tail += term
-        k += 1
-        if term == 0.0 or term < tail * 1e-18 or k > degree + 100000:
-            return tail
-
-
-def _weighted_sq(row, diff: float) -> float:
-    """alpha! * diff^2 for one term, falling back to log space on over/underflow."""
-    if diff == 0.0:
-        return 0.0
-    w = 1.0
-    exact = True
-    for e in row:
-        if e > MAX_EXACT_FACTORIAL:
-            exact = False
-            break
-        w *= FACTORIALS[e]
-    if exact:
-        val = w * diff * diff
-        if val != 0.0 and math.isfinite(val):
-            return val
-    ls = 0.0
-    for e in row:
-        ls += math.lgamma(e + 1.0)
-    return math.exp(ls + 2.0 * math.log(abs(diff)))
+    return _rescaled_normalized(xn, n)
 
 
 def _l2_distance_to_exponential(x: ChaosExpansion, h: np.ndarray, support_degree: int) -> float:
-    """Exact ||X - E(h)||: per-term differences up to support_degree plus the
-    closed-form exponential tail beyond it. Requires support_degree >= x.max_degree
-    so that every stored term is accounted for."""
-    support_degree = max(int(support_degree), x.max_degree)
-    hsq = float(h @ h)
-    remaining = {tuple(row): float(c) for row, c in zip(x.exponents.tolist(), x.coeffs)}
-    support = [int(i) for i in np.nonzero(h)[0]]
-    tables = {}
-    for i in support:
-        u = np.empty(support_degree + 1)
-        u[0] = 1.0
-        for e in range(1, support_degree + 1):
-            u[e] = u[e - 1] * h[i] / e
-        tables[i] = u
-    acc = 0.0
-    zero = (0,) * x.dim
-    acc += _weighted_sq(zero, remaining.pop(zero, 0.0) - 1.0)
-    if support:
-        for k in range(1, support_degree + 1):
-            for sub in multi_indexes_of_degree(len(support), k):
-                t = 1.0
-                alpha = [0] * x.dim
-                for i, e in zip(support, sub):
-                    alpha[i] = e
-                    t *= tables[i][e]
-                alpha = tuple(alpha)
-                acc += _weighted_sq(alpha, remaining.pop(alpha, 0.0) - t)
-    # stored terms outside the exponential's support carry target coefficient 0
-    for row, c in remaining.items():
-        acc += _weighted_sq(row, c)
-    return math.sqrt(acc + _exp_series_tail(hsq, support_degree))
+    """Exact ||X - E(h)||, with E(h) carrying h^alpha / alpha! at every alpha.
+
+    With D = max(support_degree, x.max_degree) the squared distance is
+      sum over stored alpha of alpha! (x_alpha - t_alpha)^2
+        (t_alpha = h^alpha / alpha!, which is 0 off supp h),
+      + per degree k <= D, the target mass at unstored alpha: by the
+        multinomial identity sum_{|alpha| = k} alpha! t_alpha^2 = |h|^(2k) / k!,
+        this is |h|^(2k) / k! minus the stored part, exactly 0 where every
+        alpha of degree k over supp h is stored,
+      + the closed-form tail sum_{k > D} |h|^(2k) / k!.
+    """
+    degree = max(int(support_degree), x.max_degree)
+    exps = x.exponents
+    kmax = int(exps.max(initial=0))
+    # tables[i, e] = h_i^e / e!, so t is 0 on rows using a coordinate outside supp h
+    ratios = np.ones((x.dim, kmax + 1))
+    ratios[:, 1:] = h[:, None] / np.arange(1.0, kmax + 1.0)
+    tables = np.cumprod(ratios, axis=1)
+    t = tables[np.arange(x.dim), exps].prod(axis=1)
+    diff = x.coeffs - t
+    diff_sq = _weighted_products(exps, diff, diff)
+    target_sq = _weighted_products(exps, t, t)
+
+    masses, tail = _exp_series(float(h @ h), degree)
+    on_support = exps @ (h == 0.0) == 0
+    stored = np.bincount(x.degrees, weights=target_sq, minlength=degree + 1)
+    counts = np.bincount(x.degrees[on_support], minlength=degree + 1)
+    k = np.arange(degree + 1)
+    # C(k + s - 1, k) multi-indexes of degree k over s = |supp h| coordinates
+    # (exact in float64 wherever it is small enough to equal a term count);
+    # h = 0 counts as s = 1, which is right at degree 0 and harmless above,
+    # where its masses are 0
+    s = max(np.count_nonzero(h), 1)
+    complete = counts == np.rint(binom(k + s - 1, k))
+    unstored = np.where(complete, 0.0, np.maximum(masses - stored, 0.0))
+    return math.sqrt(float(np.sum(diff_sq)) + float(np.sum(unstored)) + tail)
 
 
-def convergence_error(x: ChaosExpansion, n: int, backend=None) -> float:
+def convergence_error(x: ChaosExpansion, n: int) -> float:
     """Exact L2 distance || Gamma(1/n)(X/E[X])^{⋄n} - E(h1) ||.
 
     h1 is the first-order kernel of X/E[X]. Kept degrees run to
@@ -170,7 +139,7 @@ def convergence_error(x: ChaosExpansion, n: int, backend=None) -> float:
     if n < 1:
         raise ValueError("n must be >= 1")
     xn = _normalized(x)
-    r = _rescaled_normalized(xn, n, backend=backend)
+    r = _rescaled_normalized(xn, n)
     h1 = first_order_kernel(xn)
     return _l2_distance_to_exponential(r, h1, n * x.max_degree)
 
@@ -240,7 +209,7 @@ def proof_bound(x: ChaosExpansion, n: int) -> float:
     return proof_bound_factors(x, n).bound
 
 
-def min_chaos_order(x: ChaosExpansion, n: int, backend=None):
+def min_chaos_order(x: ChaosExpansion, n: int):
     """Smallest |alpha| with nonzero coefficient in X^{⋄n}; None for the zero expansion.
 
     For zero-mean X this is at least n times the minimal order of X, so every
@@ -251,7 +220,7 @@ def min_chaos_order(x: ChaosExpansion, n: int, backend=None):
         raise ValueError("n must be >= 1")
     if x.n_terms == 0:
         return None
-    w = wick_power(x, n, backend=backend)
+    w = wick_power(x, n)
     if w.n_terms == 0:
         return None
     return int(w.degrees[0])
@@ -295,7 +264,7 @@ def default_n_schedule(n_max: int = 512) -> list[int]:
     return ns
 
 
-def convergence_report(x: ChaosExpansion, ns=None, n_max: int = 512, backend=None) -> ConvergenceReport:
+def convergence_report(x: ChaosExpansion, ns=None, n_max: int = 512) -> ConvergenceReport:
     """Errors and certificates over an n schedule (default: powers of two)."""
     if ns is None:
         ns = default_n_schedule(n_max)
@@ -304,7 +273,7 @@ def convergence_report(x: ChaosExpansion, ns=None, n_max: int = 512, backend=Non
         raise ValueError("schedule entries must be >= 2")
     entries = []
     for n in ns:
-        err = convergence_error(x, n, backend=backend)
+        err = convergence_error(x, n)
         factors = proof_bound_factors(x, n)
         entries.append(
             ConvergenceEntry(n=n, error=err, bound=factors.bound, norm_gamma=factors.gamma_norm)
@@ -365,7 +334,6 @@ def limit_distribution_test(
     n_samples: int,
     seed: int,
     concentration_eps: float = 0.01,
-    backend=None,
 ) -> DistributionReport:
     """Sample Gamma(1/n)(X/E[X])^{⋄n} and compare its law with the limit law.
 
@@ -383,7 +351,7 @@ def limit_distribution_test(
     if n < 1:
         raise ValueError("n must be >= 1")
     xn = _normalized(x)
-    r = _rescaled_normalized(xn, n, backend=backend)
+    r = _rescaled_normalized(xn, n)
     h1 = first_order_kernel(xn)
     hsq = float(h1 @ h1)
     batch = sample_batch(r, n_samples, seed)

@@ -86,12 +86,12 @@ def _scaled_coeffs(x: ChaosExpansion) -> np.ndarray:
     return out
 
 
-def _evaluate_points(x: ChaosExpansion, pts: np.ndarray, backend=None) -> np.ndarray:
+def _evaluate_points(x: ChaosExpansion, pts: np.ndarray) -> np.ndarray:
     if x.max_degree > HERMITE_DEGREE_CAP:
         raise ValueError(f"expansion degree {x.max_degree} exceeds cap {HERMITE_DEGREE_CAP}")
     normalized = x.max_degree > NORMALIZED_RECURRENCE_DEGREE
     coefs = _scaled_coeffs(x) if normalized else x.coeffs
-    return _kernels.eval_batch(x.exponents, coefs, pts, normalized, backend)
+    return _kernels.eval_batch(x.exponents, coefs, pts, normalized)
 
 
 def evaluate(x: ChaosExpansion, xi) -> float:
@@ -160,6 +160,8 @@ def ou_apply_mc(x: ChaosExpansion, t: float, xi, n_draws: int, seed: int) -> OuE
     xi = np.asarray(xi, dtype=np.float64).reshape(-1)
     if xi.shape[0] != x.dim:
         raise ValueError(f"dimension mismatch: point has length {xi.shape[0]}, dim {x.dim}")
+    if not np.all(np.isfinite(xi)):
+        raise ValueError("non-finite evaluation point")
     if t == 0.0:
         return OuEstimate(value=evaluate(x, xi), std_error=0.0, n_draws=n_draws)
     rng = np.random.default_rng(seed)

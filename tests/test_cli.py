@@ -139,22 +139,21 @@ def test_dist_degenerate_branch(tmp_path, capsys):
 
 
 def test_bench_writes_per_backend_files(tmp_path, capsys):
+    # one kernel path: a single CSV at --out, nothing else
     out = tmp_path / "bench.csv"
     assert main(["bench", "--ns", "8,16", "--out", str(out)]) == 0
     captured = capsys.readouterr().out
-    produced = [p.name for p in tmp_path.iterdir()]
-    assert any(name.startswith("bench-") for name in produced) or out.exists()
-    for name in produced:
-        body = (tmp_path / name).read_text().splitlines()
-        data = [l for l in body if not l.startswith("#")]
-        assert data[0] == "n,degree,coeff_count,millis"
-        assert len(data) == 3
-    assert "wrote" in captured
+    assert [p.name for p in tmp_path.iterdir()] == ["bench.csv"]
+    body = out.read_text().splitlines()
+    data = [l for l in body if not l.startswith("#")]
+    assert data[0] == "n,degree,coeff_count,millis"
+    assert [row.split(",")[:3] for row in data[1:]] == [["8", "8", "9"], ["16", "16", "17"]]
+    assert captured == f"wrote {out}\n"
 
 
 def test_bench_empty_n_list(tmp_path, capsys):
     out = tmp_path / "bench.csv"
-    assert main(["bench", "--ns", "", "--backend", "numpy", "--out", str(out)]) == 0
+    assert main(["bench", "--ns", "", "--out", str(out)]) == 0
     body = out.read_text().splitlines()
     data = [l for l in body if not l.startswith("#")]
     assert data == ["n,degree,coeff_count,millis"]
@@ -182,6 +181,14 @@ def test_invalid_expansion_exits_2(tmp_path, capsys):
     bad.write_text(json.dumps({"dim": 1, "coeffs": [{"alpha": [0], "c": 1.0}, {"alpha": [0], "c": 2.0}]}))
     assert main(["converge", "--expansion", str(bad), "--out", str(tmp_path / "o.csv")]) == 2
     assert "duplicate" in capsys.readouterr().err
+
+
+def test_boolean_exponent_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bool.json"
+    bad.write_text(json.dumps({"dim": 1, "coeffs": [{"alpha": [0], "c": 1.0}, {"alpha": [True], "c": 2.0}]}))
+    assert main(["converge", "--expansion", str(bad), "--out", str(tmp_path / "o.csv")]) == 2
+    assert "invalid exponent True" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_resolve_config_is_idempotent():

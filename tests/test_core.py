@@ -25,6 +25,7 @@ from wickchaos import (
     to_json_dict,
     univariate,
 )
+from wickchaos.core import _exp_series
 
 
 def test_make_expansion_constant_one():
@@ -53,6 +54,8 @@ def test_make_expansion_rejects_bad_input():
         make_expansion(1, [((0,), float("nan"))])
     with pytest.raises(ValueError, match="exponent"):
         make_expansion(1, [((-1,), 1.0)])
+    with pytest.raises(ValueError, match="exponent True"):
+        make_expansion(1, [((True,), 2.0)])
     with pytest.raises(ValueError, match="positive integer"):
         make_expansion(0, [])
 
@@ -202,6 +205,42 @@ def test_exp_vector_norm_identity():
         hsq = sum(v * v for v in h)
         total = l2_norm_sq(res.expansion) + res.tail_norm_sq
         assert total == pytest.approx(math.exp(hsq), rel=1e-12)
+
+
+def _forward_series(hsq, degree):
+    """hsq^k / k! for k = 0..degree and the tail past degree, by the scalar
+    forward recurrence."""
+    terms = [1.0]
+    for k in range(1, degree + 1):
+        terms.append(terms[-1] * (hsq / k))
+    term = terms[-1]
+    tail = 0.0
+    k = degree + 1
+    while True:
+        term *= hsq / k
+        tail += term
+        k += 1
+        if term == 0.0 or term < tail * 1e-18:
+            return terms, tail
+
+
+def test_exp_series_is_the_forward_recurrence_bit_for_bit():
+    for hsq in (0.0, 1e-3, 0.09, 1.0, 2.25, 7.3, 100.0, 625.0):
+        for degree in (0, 1, 3, 40, 171, 1024):
+            terms, tail = _exp_series(hsq, degree)
+            expected_terms, expected_tail = _forward_series(hsq, degree)
+            assert terms.tolist() == expected_terms
+            assert tail == expected_tail
+    for h, degree in ((0.3, 0), (1.0, 3), (1.5, 40), (-4.0, 7)):
+        assert exp_vector([h], degree).tail_norm_sq == _forward_series(h * h, degree)[1]
+
+
+def test_exp_series_tail_raises_instead_of_truncating():
+    # exp(|h|^2) overflows float64: the tail never meets its stopping rule
+    with pytest.raises(ValueError, match="does not converge"):
+        _exp_series(1e6, 0)
+    with pytest.raises(ValueError, match="does not converge"):
+        exp_vector([1e3], 0)
 
 
 def test_exp_vector_total_l2_norm_value():

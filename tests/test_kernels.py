@@ -1,10 +1,9 @@
-"""Backend plumbing: numba and numpy kernel paths must agree bit for bit."""
+"""Kernels: graded convolution against its definition, grids, pruning."""
 
-import os
-import subprocess
-import sys
+import itertools
 
 import numpy as np
+import numpy.polynomial.polynomial as P
 import pytest
 
 from wickchaos import _kernels
@@ -19,63 +18,60 @@ def _random_terms(rng, dim, max_degree=4, terms=6):
     return exps, rng.uniform(-1, 1, size=exps.shape[0])
 
 
-needs_numba = pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not importable")
+def _reference_convolve(ex, cx, ey, cy):
+    """Term-by-term graded convolution, the definition itself: per output
+    multi-index, the sum of x_beta y_gamma and the sum of their magnitudes."""
+    out = {}
+    for a, u in zip(map(tuple, ex.tolist()), cx):
+        for b, v in zip(map(tuple, ey.tolist()), cy):
+            key = tuple(i + j for i, j in zip(a, b))
+            total, scale = out.get(key, (0.0, 0.0))
+            out[key] = (total + u * v, scale + abs(u * v))
+    return out
 
 
-def test_resolve_backend():
-    assert _kernels.resolve_backend(None, True) == "numba"
-    assert _kernels.resolve_backend(None, False) == "numpy"
-    assert _kernels.resolve_backend("numpy", True) == "numpy"
-    assert _kernels.resolve_backend(" Numba ", True) == "numba"
-    with pytest.raises(ValueError, match="unsupported"):
-        _kernels.resolve_backend("cuda", True)
-    with pytest.raises(ValueError, match="not importable"):
-        _kernels.resolve_backend("numba", False)
+def _box(rng, dim, side):
+    exps = np.array(list(itertools.product(range(side + 1), repeat=dim)), dtype=np.int64)
+    return exps, rng.uniform(-1, 1, size=exps.shape[0])
 
 
-def test_active_backend_validation():
-    with pytest.raises(ValueError, match="unknown backend"):
-        _kernels.active_backend("fortran")
+def test_convolve_dim1_matches_polymul():
+    rng = np.random.default_rng(4)
+    for nx, ny in ((1, 1), (1, 9), (7, 3), (40, 40), (65, 130)):
+        cx = rng.uniform(-1, 1, nx)
+        cy = rng.uniform(-1, 1, ny)
+        exps, vals = _kernels.convolve_terms(
+            np.arange(nx).reshape(-1, 1), cx, np.arange(ny).reshape(-1, 1), cy
+        )
+        expected = P.polymul(cx, cy)
+        scale = P.polymul(np.abs(cx), np.abs(cy))
+        assert exps[:, 0].tolist() == list(range(nx + ny - 1))
+        assert np.all(np.abs(vals - expected) <= 1e-14 * scale)
 
 
-@needs_numba
-def test_convolve_backends_bit_identical():
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        dim = int(rng.integers(1, 4))
-        ex, cx = _random_terms(rng, dim)
-        ey, cy = _random_terms(rng, dim)
-        ea, va = _kernels.convolve_terms(ex, cx, ey, cy, "numba")
-        eb, vb = _kernels.convolve_terms(ex, cx, ey, cy, "numpy")
-        assert np.array_equal(ea, eb)
-        assert np.array_equal(va, vb)
-
-
-@needs_numba
-def test_hu_meyer_backends_bit_identical():
-    rng = np.random.default_rng(2)
-    for _ in range(30):
-        dim = int(rng.integers(1, 4))
-        ex, cx = _random_terms(rng, dim)
-        ey, cy = _random_terms(rng, dim)
-        for cap in (-1, 0, 1):
-            ea, va = _kernels.hu_meyer_terms(ex, cx, ey, cy, cap, "numba")
-            eb, vb = _kernels.hu_meyer_terms(ex, cx, ey, cy, cap, "numpy")
-            assert np.array_equal(ea, eb)
-            assert np.array_equal(va, vb)
-
-
-@needs_numba
-def test_eval_backends_bit_identical():
-    rng = np.random.default_rng(3)
-    for normalized in (False, True):
-        for _ in range(10):
-            dim = int(rng.integers(1, 4))
-            ex, cx = _random_terms(rng, dim, max_degree=6)
-            pts = rng.standard_normal((257, dim))
-            va = _kernels.eval_batch(ex, cx, pts, normalized, "numba")
-            vb = _kernels.eval_batch(ex, cx, pts, normalized, "numpy")
-            assert np.array_equal(va, vb)
+def test_convolve_dense_and_sparse_paths_match_definition(monkeypatch):
+    rng = np.random.default_rng(5)
+    calls = []
+    convolve = np.convolve
+    monkeypatch.setattr(
+        _kernels.np, "convolve", lambda a, b: calls.append(1) or convolve(a, b)
+    )
+    for dim in (2, 3):
+        dense = (_box(rng, dim, 3), _box(rng, dim, 2))
+        sparse_exps = np.zeros((3, dim), dtype=np.int64)
+        sparse_exps[1, 0] = 40
+        sparse_exps[2, -1] = 25
+        sparse = ((sparse_exps, rng.uniform(-1, 1, 3)), _random_terms(rng, dim, max_degree=9))
+        for (ex, cx), (ey, cy), uses_convolve in ((*dense, True), (*sparse, False)):
+            calls.clear()
+            exps, vals = _kernels.convolve_terms(ex, cx, ey, cy)
+            assert bool(calls) == uses_convolve
+            expected = _reference_convolve(ex, cx, ey, cy)
+            got = dict(zip(map(tuple, exps.tolist()), vals))
+            assert got.keys() == {k for k, (v, _) in expected.items() if v != 0.0}
+            for key, value in got.items():
+                total, scale = expected[key]
+                assert abs(value - total) <= 1e-14 * scale
 
 
 def test_grade_lex_order_sorts_canonically():
@@ -95,24 +91,6 @@ def test_exact_zero_coefficients_are_pruned():
     out = wick_product(univariate([1.0, 1.0]), univariate([1.0, -1.0]))
     assert out.n_terms == 2  # the degree-1 coefficient cancels exactly
     assert out.coeff((1,)) == 0.0
-
-
-def test_env_flag_selects_fallback():
-    # WICKCHAOS_BACKEND is read at import time; probe in a fresh interpreter
-    env = dict(os.environ, WICKCHAOS_BACKEND="numpy")
-    code = (
-        "from wickchaos import _kernels, univariate, wick_power, l2_norm_sq\n"
-        "assert _kernels.DEFAULT_BACKEND == 'numpy'\n"
-        "w = wick_power(univariate([1.0, 1.0]), 8)\n"
-        "assert abs(l2_norm_sq(w) - sum(__import__('math').comb(8, k)**2 * "
-        "__import__('math').factorial(k) for k in range(9))) < 1e-6\n"
-        "print('fallback-ok')\n"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert out.returncode == 0, out.stderr
-    assert "fallback-ok" in out.stdout
 
 
 def test_factorial_table():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from wickchaos import (
     ZeroMeanError,
@@ -11,6 +12,7 @@ from wickchaos import (
     convergence_error,
     convergence_report,
     exp_vector,
+    first_order_kernel,
     inner_product,
     limit_distribution_test,
     make_expansion,
@@ -24,6 +26,7 @@ from wickchaos import (
     wick_power,
     write_convergence_csv,
 )
+from wickchaos.limits import _l2_distance_to_exponential
 
 X11 = univariate([1.0, 1.0])  # 1 + He1
 
@@ -130,6 +133,132 @@ def test_convergence_error_multivariate_matches_univariate():
     # a 2-d copy of the 1-d family embedded on the first coordinate
     x2 = make_expansion(2, [((0, 0), 1.0), ((1, 0), 1.0)])
     assert convergence_error(x2, 4) == pytest.approx(convergence_error(X11, 4), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The distance to E(h) against the enumerating walk it replaced
+# ---------------------------------------------------------------------------
+
+
+def _enumerating_weighted_sq(row, diff):
+    """alpha! * diff^2 for one term, in log space on over/underflow."""
+    if diff == 0.0:
+        return 0.0
+    w = 1.0
+    for e in row:
+        w *= math.factorial(e) if e <= 170 else math.inf
+    val = w * diff * diff
+    if val != 0.0 and math.isfinite(val):
+        return val
+    ls = sum(math.lgamma(e + 1.0) for e in row)
+    return math.exp(ls + 2.0 * math.log(abs(diff)))
+
+
+def _enumerating_distance(x, h, support_degree):
+    """||X - E(h)|| by walking every multi-index of degree <= D over supp h,
+    C(D + s, s) steps, plus the forward exponential-series tail past D."""
+    degree = max(int(support_degree), x.max_degree)
+    remaining = dict(x.terms())
+    support = [int(i) for i in np.nonzero(h)[0]]
+    tables = {}
+    for i in support:
+        u = [1.0]
+        for e in range(1, degree + 1):
+            u.append(u[-1] * h[i] / e)
+        tables[i] = u
+    zero = (0,) * x.dim
+    acc = _enumerating_weighted_sq(zero, remaining.pop(zero, 0.0) - 1.0)
+    if support:
+        for k in range(1, degree + 1):
+            for sub in multi_indexes_of_degree(len(support), k):
+                t = 1.0
+                alpha = [0] * x.dim
+                for i, e in zip(support, sub):
+                    alpha[i] = e
+                    t *= tables[i][e]
+                alpha = tuple(alpha)
+                acc += _enumerating_weighted_sq(alpha, remaining.pop(alpha, 0.0) - t)
+    for row, c in remaining.items():
+        acc += _enumerating_weighted_sq(row, c)
+    hsq = float(h @ h)
+    term = 1.0
+    for k in range(1, degree + 1):
+        term *= hsq / k
+    tail = 0.0
+    k = degree + 1
+    while True:
+        term *= hsq / k
+        tail += term
+        k += 1
+        if term == 0.0 or term < tail * 1e-18:
+            return math.sqrt(acc + tail)
+
+
+def _random_with_mean(rng, dim, max_degree, terms):
+    pool = [a for k in range(1, max_degree + 1) for a in multi_indexes_of_degree(dim, k)]
+    picks = rng.choice(len(pool), size=min(terms, len(pool)), replace=False)
+    entries = {pool[int(i)]: float(rng.uniform(-1, 1)) for i in picks}
+    entries[(0,) * dim] = float(rng.uniform(0.5, 1.5))
+    return make_expansion(dim, entries)
+
+
+def test_distance_to_exponential_matches_enumeration():
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    for dim in (1, 2, 3):
+        for trial in range(6):
+            # sparse X: most degrees over supp h are incomplete
+            x = _random_with_mean(rng, dim, 3, int(rng.integers(1, 7)))
+            h = rng.uniform(-1.2, 1.2, dim)
+            if trial % 2:
+                h[int(rng.integers(dim))] = 0.0  # sparse supp h
+            if trial == 5:
+                h[:] = 0.0
+            for support_degree in (0, 3, 12):
+                expected = _enumerating_distance(x, h, support_degree)
+                got = _l2_distance_to_exponential(x, h, support_degree)
+                worst = max(worst, abs(got - expected) / expected)
+    # rescaled powers with n * deg > 170: factorials overflow, log-space weights
+    for x, n in (
+        (X11, 256),
+        (univariate([1.0, -0.6, 0.3]), 100),
+        (make_expansion(2, [((0, 0), 1.0), ((1, 0), 0.5), ((0, 1), -0.3), ((1, 1), 0.2)]), 90),
+        (make_expansion(3, [((0, 0, 0), 1.0), ((1, 0, 0), 0.5), ((0, 0, 1), 0.3)]), 172),
+    ):
+        r = rescaled_wick_power(x, n)
+        h = first_order_kernel(x / x.mean())
+        degree = n * x.max_degree
+        assert degree > 170
+        expected = _enumerating_distance(r, h, degree)
+        got = _l2_distance_to_exponential(r, h, degree)
+        assert got == convergence_error(x, n)
+        worst = max(worst, abs(got - expected) / expected)
+    assert worst <= 1e-13
+
+
+def _family_error_50_digits(h, n):
+    """Closed form of ||Gamma(1/n)(1 + h He1)^{<>n} - E(h)||, 50 digits."""
+    with mp.workdps(50):
+        h = mp.mpf(h)
+        total = mp.zero
+        binom_term = mp.one  # C(n, k) (h/n)^k
+        exp_term = mp.one  # h^k / k!
+        for k in range(n + 1):
+            total += mp.factorial(k) * (binom_term - exp_term) ** 2
+            binom_term *= mp.mpf(n - k) / (k + 1) * h / n
+            exp_term *= h / (k + 1)
+        head = mp.fsum(h ** (2 * k) / mp.factorial(k) for k in range(n + 1))
+        return mp.sqrt(total + mp.exp(h * h) - head)
+
+
+def test_convergence_error_family_against_mpmath():
+    # a + b He1 normalizes to 1 + h He1 with h = b * (1/a) in float64; the
+    # observed deviation is <= 2e-13, so 1e-11 leaves two orders of margin
+    for a, b in ((1.0, 1.0), (-1.7, 0.6), (0.5, -0.75), (1.0, 0.1)):
+        for n in (2, 3, 16, 100, 512, 1024):
+            expected = _family_error_50_digits(b * (1.0 / a), n)
+            got = convergence_error(univariate([a, b]), n)
+            assert abs(mp.mpf(got) - expected) <= 1e-11 * expected
 
 
 # ---------------------------------------------------------------------------

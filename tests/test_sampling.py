@@ -199,6 +199,14 @@ def test_ou_rejects_negative_time():
         ou_apply_mc(he1, -0.1, [0.0], 10, seed=1)
 
 
+def test_ou_rejects_non_finite_point():
+    x = univariate([1.0, 0.5])
+    for t in (0.3, 0.0):
+        for xi in ([math.nan], [math.inf]):
+            with pytest.raises(ValueError, match="non-finite evaluation point"):
+                ou_apply_mc(x, t, xi, 10, seed=1)
+
+
 # ---------------------------------------------------------------------------
 # Kolmogorov-Smirnov statistic
 # ---------------------------------------------------------------------------
