@@ -79,9 +79,7 @@ def _extract(acc, radix):
 # ---------------------------------------------------------------------------
 
 
-def _convolve_acc(exp_x, cx, exp_y, cy, strides, acc):
-    code_x = exp_x @ strides
-    code_y = exp_y @ strides
+def _convolve_acc(code_x, cx, code_y, cy, acc):
     span_x = int(code_x.max()) + 1
     span_y = int(code_y.max()) + 1
     if span_x * span_y <= _DENSE_FACTOR * code_x.shape[0] * code_y.shape[0]:
@@ -94,59 +92,58 @@ def _convolve_acc(exp_x, cx, exp_y, cy, strides, acc):
 
 
 # ---------------------------------------------------------------------------
-# Contractions of the Hu-Meyer product with |r| >= 1 (the r = 0 layer is the
-# graded convolution above). For each pair of terms the contraction
-# multi-index r runs over 0 < r <= min(alpha, beta) componentwise, in
-# odometer order (last coordinate fastest); each state contributes
-#   prod_i r_i! C(alpha_i, r_i) C(beta_i, r_i)
-# at exponent alpha + beta - 2r. max_r >= 1 caps the total contraction
-# order |r|; max_r < 0 means no cap.
-# The per-coordinate factor is built by the integer-valued recurrence
-# f(r+1) = f(r) * (a-r) * (b-r) / (r+1), exact in float64 for small degrees.
+# Hu-Meyer product in derivative form: X . Y = sum_r (1/r!) D^r X ⋄ D^r Y,
+# with D^r H_alpha = alpha!/(alpha - r)! H_{alpha - r} for alpha >= r
+# componentwise (and 0 otherwise). Per coordinate this is
+#   He_a He_b = sum_r r! C(a, r) C(b, r) He_{a+b-2r},
+# so each contraction layer r is one graded convolution of the two derivative
+# tables. Their codes are code(alpha) - code(r) on the same carry-free grid.
+# The r = 0 layer is the Wick product itself. Only the r that some term of
+# each side dominates contribute: the intersection of the two supports'
+# downsets.
 # ---------------------------------------------------------------------------
 
 
+def _downset(exps, top):
+    """Boolean grid over 0..top marking every r <= some row of exps."""
+    mark = np.zeros(top + 1, dtype=bool)
+    for row in np.minimum(exps, top).tolist():
+        mark[tuple(slice(e + 1) for e in row)] = True
+    return mark
+
+
+def _falling_factorials(a_max, r_max):
+    """table[a, r] = a!/(a - r)! for r <= a, as a product of integers a - s.
+
+    Exact while it stays below 2**53; +inf where it overflows.
+    """
+    steps = np.maximum(np.arange(a_max + 1.0)[:, None] - np.arange(r_max), 0.0)
+    table = np.ones((a_max + 1, r_max + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.cumprod(steps, axis=1, out=table[:, 1:])
+    return table
+
+
 def _contraction_acc(exp_x, cx, exp_y, cy, strides, max_r, acc):
-    nx = cx.shape[0]
-    ny = cy.shape[0]
-    d = strides.shape[0]
-    r = np.zeros(d, dtype=np.int64)
-    r_cap = np.zeros(d, dtype=np.int64)
-    for t in range(nx):
-        for j in range(ny):
-            v = cx[t] * cy[j]
-            for i in range(d):
-                a = exp_x[t, i]
-                b = exp_y[j, i]
-                m = a if a < b else b
-                if max_r >= 0 and m > max_r:
-                    m = max_r
-                r_cap[i] = m
-                r[i] = 0
-            r_total = 0
-            while True:
-                k = d - 1
-                while k >= 0 and r[k] == r_cap[k]:
-                    r_total -= r[k]
-                    r[k] = 0
-                    k -= 1
-                if k < 0:
-                    break
-                r[k] += 1
-                r_total += 1
-                if max_r < 0 or r_total <= max_r:
-                    f = 1.0
-                    code = 0
-                    for i in range(d):
-                        a = exp_x[t, i]
-                        b = exp_y[j, i]
-                        ri = r[i]
-                        fi = 1.0
-                        for s in range(ri):
-                            fi = fi * (a - s) * (b - s) / (s + 1.0)
-                        f *= fi
-                        code += (a + b - 2 * ri) * strides[i]
-                    acc[code] += v * f
+    """Add the layers 1 <= |r| (<= max_r unless max_r < 0) to acc."""
+    top_x = exp_x.max(axis=0)
+    top_y = exp_y.max(axis=0)
+    top = np.minimum(top_x, top_y)
+    if max_r > 0:
+        top = np.minimum(top, max_r)
+    rs = np.argwhere(_downset(exp_x, top) & _downset(exp_y, top))[1:]
+    if max_r > 0:
+        rs = rs[rs.sum(axis=1) <= max_r]
+    falling = _falling_factorials(int(max(top_x.max(), top_y.max())), int(top.max()))
+    code_x = exp_x @ strides
+    code_y = exp_y @ strides
+    r_facts = falling[rs, rs].prod(axis=1)  # falling[s, s] = s!
+    for r, code_r, r_fact in zip(rs, rs @ strides, r_facts):
+        kx = (exp_x >= r).all(axis=1)
+        ky = (exp_y >= r).all(axis=1)
+        wx = cx[kx] * (falling[exp_x[kx], r].prod(axis=1) / r_fact)
+        wy = cy[ky] * falling[exp_y[ky], r].prod(axis=1)
+        _convolve_acc(code_x[kx] - code_r, wx, code_y[ky] - code_r, wy, acc)
 
 
 def _product_terms(exp_x, cx, exp_y, cy, max_r):
@@ -156,7 +153,7 @@ def _product_terms(exp_x, cx, exp_y, cy, max_r):
         return np.empty((0, d), dtype=np.int64), np.empty(0)
     radix, strides, cells = _grid(exp_x, exp_y)
     acc = np.zeros(cells)
-    _convolve_acc(exp_x, cx, exp_y, cy, strides, acc)
+    _convolve_acc(exp_x @ strides, cx, exp_y @ strides, cy, acc)
     if max_r != 0:
         _contraction_acc(exp_x, cx, exp_y, cy, strides, max_r, acc)
     return _extract(acc, radix)
@@ -192,29 +189,30 @@ def eval_batch(exp_t, coefs, pts, normalized=False):
     out = np.zeros(n)
     if coefs.shape[0] == 0 or n == 0:
         return out
-    kmax = exp_t.max(axis=0)
-    kcap = int(kmax.max())
-    sqrts = np.sqrt(np.arange(kcap + 2, dtype=np.float64))
-    chunk = max(1, (1 << 22) // max(1, (kcap + 1) * d))
+    kmax = exp_t.max(axis=0).tolist()
+    kcap = max(kmax)
+    sqrts = np.sqrt(np.arange(kcap + 2, dtype=np.float64)).tolist()
+    rows = exp_t.tolist()
+    chunk = max(1, (1 << 22) // ((kcap + 1) * d))
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
-        x = pts[lo:hi]
         table = np.empty((d, kcap + 1, hi - lo))
         for i in range(d):
+            x = pts[lo:hi, i]
             table[i, 0] = 1.0
             if kmax[i] >= 1:
-                table[i, 1] = x[:, i]
+                table[i, 1] = x
             if normalized:
                 for k in range(1, kmax[i]):
-                    table[i, k + 1] = (x[:, i] * table[i, k] - sqrts[k] * table[i, k - 1]) / sqrts[k + 1]
+                    table[i, k + 1] = (x * table[i, k] - sqrts[k] * table[i, k - 1]) / sqrts[k + 1]
             else:
                 for k in range(1, kmax[i]):
-                    table[i, k + 1] = x[:, i] * table[i, k] - k * table[i, k - 1]
+                    table[i, k + 1] = x * table[i, k] - k * table[i, k - 1]
         v = np.zeros(hi - lo)
-        for t in range(coefs.shape[0]):
-            p = np.full(hi - lo, coefs[t])
-            for i in range(d):
-                p = p * table[i, exp_t[t, i]]
+        for row, c in zip(rows, coefs.tolist()):
+            p = np.full(hi - lo, c)
+            for i, e in enumerate(row):
+                p = p * table[i, e]
             v += p
         out[lo:hi] = v
     return out

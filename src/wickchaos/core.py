@@ -69,29 +69,53 @@ def multi_indexes_of_degree(dim: int, degree: int) -> Iterator[tuple[int, ...]]:
             yield (e0,) + rest
 
 
-def _weighted_products(exponents, a, b):
-    """Per-term alpha! * a * b, robust to factorial overflow and product underflow.
+_SQRT_FACTORIALS = np.sqrt(FACTORIALS)
+
+
+def _factorial_weighted(exponents, factors, power):
+    """Per-term (alpha!)**power * prod(factors), power 1 or 0.5.
 
     The direct product is exact for desk-scale terms; entries where it
-    overflows/underflows are recomputed in log space (~1 ulp of the exponent).
+    overflows, or underflows to 0 from nonzero factors, are recomputed in log
+    space (~1 ulp of the exponent).
     """
+    table = FACTORIALS if power == 1 else _SQRT_FACTORIALS
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        w = table[np.minimum(exponents, MAX_EXACT_FACTORIAL + 1)].prod(axis=1)
+        product = factors[0]
+        nonzero = factors[0] != 0.0
+        for f in factors[1:]:
+            product = product * f
+            nonzero &= f != 0.0
+        direct = w * product
+        bad = ~np.isfinite(direct) | ((direct == 0.0) & nonzero)
+        if np.any(bad):
+            log_abs = power * gammaln(exponents[bad] + 1.0).sum(axis=1)
+            sign = 1.0
+            for f in factors:
+                log_abs = log_abs + np.log(np.abs(f[bad]))
+                sign = sign * np.sign(f[bad])
+            direct[bad] = sign * np.exp(log_abs)
+    return direct
+
+
+def _weighted_products(exponents, a, b):
+    """Per-term alpha! * a * b, robust to factorial overflow and product underflow."""
     if a.shape[0] == 0:
         return np.empty(0)
-    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        w = FACTORIALS[np.minimum(exponents, MAX_EXACT_FACTORIAL + 1)].prod(axis=1)
-        direct = w * (a * b)
-        bad = ~np.isfinite(direct) | ((direct == 0.0) & (a != 0.0) & (b != 0.0))
-        if np.any(bad):
-            lw = gammaln(exponents[bad] + 1.0).sum(axis=1)
-            sign = np.sign(a[bad]) * np.sign(b[bad])
-            direct = direct.copy()
-            direct[bad] = sign * np.exp(lw + np.log(np.abs(a[bad])) + np.log(np.abs(b[bad])))
-    return direct
+    return _factorial_weighted(exponents, (a, b), 1)
 
 
 # Terms of the exponential series summed past a truncation degree before it is
 # declared divergent in float64 (|h|^2 too large for exp(|h|^2) to be finite).
 _EXP_TAIL_MAX_TERMS = 100000
+
+
+def _power_tables(h: np.ndarray, degree: int) -> np.ndarray:
+    """tables[i, e] = h_i^e / e! for e = 0..degree, by the forward product of h_i / e."""
+    ratios = np.ones((h.shape[0], degree + 1))
+    ratios[:, 1:] = h[:, None] / np.arange(1.0, degree + 1.0)
+    return np.cumprod(ratios, axis=1)
 
 
 def _exp_series(hsq: float, degree: int):
@@ -368,31 +392,18 @@ def exp_vector(h, max_degree: int) -> ExpVectorResult:
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
     d = h.shape[0]
-    support = np.nonzero(h)[0]
-    # per-coordinate tables u[i][e] = h_i^e / e!
-    tables = {}
-    for i in support:
-        u = np.empty(max_degree + 1)
-        u[0] = 1.0
-        for e in range(1, max_degree + 1):
-            u[e] = u[e - 1] * h[i] / e
-        tables[int(i)] = u
-    rows = [(0,) * d]
-    vals = [1.0]
-    for k in range(1, max_degree + 1):
-        if len(support) == 0:
-            break
-        for sub in multi_indexes_of_degree(len(support), k):
-            alpha = [0] * d
-            c = 1.0
-            for i, e in zip(support, sub):
-                alpha[int(i)] = e
-                c *= tables[int(i)][e]
-            rows.append(tuple(alpha))
-            vals.append(c)
-    expansion = ChaosExpansion._from_arrays(
-        d, np.array(rows, dtype=np.int64).reshape(len(rows), d), np.array(vals)
-    )
+    tables = _power_tables(h, max_degree)
+    # every multi-index over supp h of degree <= max_degree, built one
+    # coordinate at a time from the zero row
+    exps = np.zeros((1, d), dtype=np.int64)
+    vals = np.ones(1)
+    for i in np.flatnonzero(h):
+        room = max_degree - exps.sum(axis=1)
+        rows, e = np.nonzero(np.arange(max_degree + 1) <= room[:, None])
+        exps = exps[rows]
+        exps[:, i] = e
+        vals = vals[rows] * tables[i, e]
+    expansion = ChaosExpansion._from_arrays(d, exps, vals)
     _, tail = _exp_series(float(h @ h), max_degree)
     return ExpVectorResult(expansion=expansion, tail_norm_sq=tail)
 

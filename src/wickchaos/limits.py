@@ -28,6 +28,7 @@ from scipy.special import binom
 from .core import (
     ChaosExpansion,
     _exp_series,
+    _power_tables,
     _weighted_products,
     expansion_hash,
     first_order_kernel,
@@ -104,11 +105,8 @@ def _l2_distance_to_exponential(x: ChaosExpansion, h: np.ndarray, support_degree
     degree = max(int(support_degree), x.max_degree)
     exps = x.exponents
     kmax = int(exps.max(initial=0))
-    # tables[i, e] = h_i^e / e!, so t is 0 on rows using a coordinate outside supp h
-    ratios = np.ones((x.dim, kmax + 1))
-    ratios[:, 1:] = h[:, None] / np.arange(1.0, kmax + 1.0)
-    tables = np.cumprod(ratios, axis=1)
-    t = tables[np.arange(x.dim), exps].prod(axis=1)
+    # t is 0 on rows using a coordinate outside supp h
+    t = _power_tables(h, kmax)[np.arange(x.dim), exps].prod(axis=1)
     diff = x.coeffs - t
     diff_sq = _weighted_products(exps, diff, diff)
     target_sq = _weighted_products(exps, t, t)

@@ -17,11 +17,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, ndtr
+from scipy.special import ndtr
 
 from . import _kernels
-from ._kernels import FACTORIALS, MAX_EXACT_FACTORIAL
-from .core import ChaosExpansion, expansion_hash
+from .core import ChaosExpansion, _factorial_weighted, expansion_hash
 
 __all__ = [
     "HERMITE_DEGREE_CAP",
@@ -51,46 +50,24 @@ KS_COEFF_5PCT = 1.358
 
 
 def hermite_eval(k: int, x: float) -> float:
-    """Probabilists' Hermite polynomial He_k(x) by three-term recurrence."""
+    """Probabilists' Hermite polynomial He_k(x), by evaluating the one-term expansion He_k."""
     k = int(k)
     if k < 0:
         raise ValueError("degree must be non-negative")
-    if k > HERMITE_DEGREE_CAP:
-        raise ValueError(f"degree {k} exceeds cap {HERMITE_DEGREE_CAP}")
-    x = float(x)
-    if k <= NORMALIZED_RECURRENCE_DEGREE:
-        prev, cur = 1.0, x
-        if k == 0:
-            return 1.0
-        for j in range(1, k):
-            prev, cur = cur, x * cur - j * prev
-        return cur
-    # normalized recurrence, then undo the sqrt(k!) scaling
-    prev, cur = 1.0, x
-    for j in range(1, k):
-        prev, cur = cur, (x * cur - math.sqrt(j) * prev) / math.sqrt(j + 1)
-    if k <= MAX_EXACT_FACTORIAL:
-        return cur * math.sqrt(FACTORIALS[k])
-    return cur * math.exp(0.5 * gammaln(k + 1))
-
-
-def _scaled_coeffs(x: ChaosExpansion) -> np.ndarray:
-    """Coefficients against the orthonormal basis: c_alpha * sqrt(alpha!)."""
-    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        w = np.sqrt(FACTORIALS)[np.minimum(x.exponents, MAX_EXACT_FACTORIAL + 1)].prod(axis=1)
-        out = w * x.coeffs
-        bad = ~np.isfinite(out) | ((out == 0.0) & (x.coeffs != 0.0))
-        if np.any(bad):
-            lw = 0.5 * gammaln(x.exponents[bad] + 1.0).sum(axis=1)
-            out[bad] = np.sign(x.coeffs[bad]) * np.exp(lw + np.log(np.abs(x.coeffs[bad])))
-    return out
+    he_k = ChaosExpansion(1, np.array([[k]]), np.ones(1), _trusted=True)
+    value = evaluate(he_k, [x])
+    if not math.isfinite(value):
+        raise ValueError(f"He_{k}({float(x)!r}) is not finite in float64")
+    return value
 
 
 def _evaluate_points(x: ChaosExpansion, pts: np.ndarray) -> np.ndarray:
     if x.max_degree > HERMITE_DEGREE_CAP:
         raise ValueError(f"expansion degree {x.max_degree} exceeds cap {HERMITE_DEGREE_CAP}")
     normalized = x.max_degree > NORMALIZED_RECURRENCE_DEGREE
-    coefs = _scaled_coeffs(x) if normalized else x.coeffs
+    # the normalized recurrence takes coefficients against the orthonormal
+    # basis, c_alpha * sqrt(alpha!)
+    coefs = _factorial_weighted(x.exponents, (x.coeffs,), 0.5) if normalized else x.coeffs
     return _kernels.eval_batch(x.exponents, coefs, pts, normalized)
 
 

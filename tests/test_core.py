@@ -25,7 +25,7 @@ from wickchaos import (
     to_json_dict,
     univariate,
 )
-from wickchaos.core import _exp_series
+from wickchaos.core import _exp_series, _factorial_weighted
 
 
 def test_make_expansion_constant_one():
@@ -72,6 +72,26 @@ def test_multi_indexes_of_degree_lex_order():
     assert idx[-1] == (2, 0, 0)
     assert len(idx) == 6
     assert idx == sorted(idx)
+
+
+def test_factorial_weights_fall_back_to_log_space():
+    # 200! overflows and 1e-170 * 1e-170 underflows; the log-space values
+    # match math.lgamma
+    exps = np.array([[200], [100], [3]])
+    a = np.array([1e-150, 1e-170, 0.5])
+    b = np.array([-2e-150, 1e-170, 0.0])
+    expected = [
+        -math.exp(math.lgamma(201.0) + math.log(2e-300)),
+        math.exp(math.lgamma(101.0) + 2.0 * math.log(1e-170)),
+        0.0,
+    ]
+    assert _factorial_weighted(exps, (a, b), 1) == pytest.approx(expected, rel=1e-12)
+    scaled = [
+        math.exp(0.5 * math.lgamma(201.0) + math.log(1e-150)),
+        1e-170 * math.sqrt(math.factorial(100)),
+        0.5 * math.sqrt(6.0),
+    ]
+    assert _factorial_weighted(exps, (a,), 0.5) == pytest.approx(scaled, rel=1e-12)
 
 
 def test_l2_norm_constant():
@@ -205,6 +225,44 @@ def test_exp_vector_norm_identity():
         hsq = sum(v * v for v in h)
         total = l2_norm_sq(res.expansion) + res.tail_norm_sq
         assert total == pytest.approx(math.exp(hsq), rel=1e-12)
+
+
+def _walk_exp_vector(h, max_degree):
+    """{alpha: h^alpha / alpha!} by walking every multi-index of degree <=
+    max_degree over supp h, with tables u[e] = u[e-1] * h_i / e."""
+    support = [int(i) for i in np.nonzero(h)[0]]
+    tables = {}
+    for i in support:
+        u = [1.0]
+        for e in range(1, max_degree + 1):
+            u.append(u[-1] * h[i] / e)
+        tables[i] = u
+    out = {(0,) * len(h): 1.0}
+    for k in range(1, max_degree + 1 if support else 1):
+        for sub in multi_indexes_of_degree(len(support), k):
+            alpha = [0] * len(h)
+            c = 1.0
+            for i, e in zip(support, sub):
+                alpha[i] = e
+                c *= tables[i][e]
+            out[tuple(alpha)] = c
+    return out
+
+
+def test_exp_vector_matches_multi_index_walk():
+    # The two table recurrences round differently (h_i / e first, or the
+    # product first), each at most twice per factor, so they agree to
+    # 2 |alpha| eps relative.
+    eps = np.finfo(float).eps
+    kernels = ([1.3], [0.0], [0.7, 0.0], [-1.9, 2.2], [0.4, 0.0, -1.1], [0.0, 2.4, 0.0], [1.5, -0.8, 2.0])
+    rng = np.random.default_rng(12)
+    for h in [np.array(h) for h in kernels] + [rng.uniform(-2.5, 2.5, dim) for dim in (1, 2, 3)]:
+        for max_degree in (0, 1, 5, 17, 40):
+            expected = _walk_exp_vector(h, max_degree)
+            got = exp_vector(h, max_degree).expansion
+            assert {alpha for alpha, _ in got.terms()} == set(expected)
+            for alpha, c in got.terms():
+                assert abs(c - expected[alpha]) <= 2 * sum(alpha) * eps * abs(expected[alpha])
 
 
 def _forward_series(hsq, degree):

@@ -1,4 +1,4 @@
-"""Kernels: graded convolution against its definition, grids, pruning."""
+"""Kernels: graded convolution and Hu-Meyer products against their definitions, grids, pruning."""
 
 import itertools
 
@@ -72,6 +72,81 @@ def test_convolve_dense_and_sparse_paths_match_definition(monkeypatch):
             for key, value in got.items():
                 total, scale = expected[key]
                 assert abs(value - total) <= 1e-14 * scale
+
+
+def _odometer_hu_meyer(ex, cx, ey, cy, max_r):
+    """Hu-Meyer product by walking, for each pair of terms, every contraction
+    multi-index 0 <= r <= min(alpha, beta) in odometer order (last coordinate
+    fastest); each state adds prod_i r_i! C(a_i, r_i) C(b_i, r_i) x_alpha y_beta
+    at alpha + beta - 2r, unless |r| > max_r >= 0. The per-coordinate factor is
+    built by the recurrence f(r+1) = f(r) (a-r) (b-r) / (r+1). Returns, per
+    output multi-index, the sum and the sum of magnitudes."""
+    out = {}
+    d = ex.shape[1]
+    for alpha, u in zip(ex.tolist(), cx):
+        for beta, v in zip(ey.tolist(), cy):
+            r_cap = [min(a, b) for a, b in zip(alpha, beta)]
+            if max_r >= 0:
+                r_cap = [min(m, max_r) for m in r_cap]
+            r = [0] * d
+            while True:
+                if max_r < 0 or sum(r) <= max_r:
+                    f = 1.0
+                    for a, b, ri in zip(alpha, beta, r):
+                        for s in range(ri):
+                            f = f * (a - s) * (b - s) / (s + 1.0)
+                    key = tuple(a + b - 2 * ri for a, b, ri in zip(alpha, beta, r))
+                    total, scale = out.get(key, (0.0, 0.0))
+                    out[key] = (total + u * v * f, scale + abs(u * v * f))
+                k = d - 1
+                while k >= 0 and r[k] == r_cap[k]:
+                    r[k] = 0
+                    k -= 1
+                if k < 0:
+                    break
+                r[k] += 1
+    return out
+
+
+def _assert_matches(exps, vals, expected):
+    got = dict(zip(map(tuple, exps.tolist()), vals))
+    assert got.keys() == {k for k, (v, _) in expected.items() if v != 0.0}
+    for key, value in got.items():
+        total, scale = expected[key]
+        assert abs(value - total) <= 1e-14 * scale
+
+
+def test_hu_meyer_matches_odometer():
+    rng = np.random.default_rng(6)
+    for dim, side in ((1, 7), (2, 3), (3, 2)):
+        sparse_exps = np.zeros((3, dim), dtype=np.int64)
+        sparse_exps[1, 0] = 30
+        sparse_exps[2, -1] = 12
+        inputs = (
+            (_box(rng, dim, side), _box(rng, dim, side - 1)),
+            ((sparse_exps, rng.uniform(-1, 1, 3)), _random_terms(rng, dim, max_degree=9)),
+        )
+        for (ex, cx), (ey, cy) in inputs:
+            for cap in (None, 0, 1, 2, 3):
+                max_r = -1 if cap is None else cap
+                exps, vals = _kernels.hu_meyer_terms(ex, cx, ey, cy, max_r)
+                _assert_matches(exps, vals, _odometer_hu_meyer(ex, cx, ey, cy, max_r))
+
+
+def test_hu_meyer_sparse_and_high_degree_cases():
+    one = np.ones(1)
+    axes = np.array([[50, 0, 0], [0, 50, 0], [0, 0, 50]])
+    cases = (
+        (axes, np.ones(3), axes, np.ones(3)),  # (He_50(xi_1) + He_50(xi_2) + He_50(xi_3))^2
+        (np.array([[200]]), one, np.array([[3]]), one),  # past 170!, r <= 3
+        (np.array([[1]]), one, np.array([[1]]), one),  # He1 He1 = He2 + 1
+    )
+    for ex, cx, ey, cy in cases:
+        exps, vals = _kernels.hu_meyer_terms(ex, cx, ey, cy)
+        _assert_matches(exps, vals, _odometer_hu_meyer(ex, cx, ey, cy, -1))
+    exps, vals = _kernels.hu_meyer_terms(np.array([[200]]), one, np.array([[3]]), one)
+    assert exps[:, 0].tolist() == [197, 199, 201, 203]
+    assert vals.tolist() == [7880400.0, 119400.0, 600.0, 1.0]
 
 
 def test_grade_lex_order_sorts_canonically():
