@@ -1,24 +1,19 @@
 """Hot numeric kernels: graded convolution, contraction products, Hermite evaluation.
 
 One numpy implementation per kernel, so every result is a deterministic
-function of its inputs.
+function of its inputs. The module holds only grids, convolutions and
+recurrences; the canonical form of a term table (pruning and ordering) is
+wickchaos.core's.
 
 Term layout convention: an expansion with m terms over d coordinates is a
 pair (exponents, coeffs) with exponents an (m, d) int64 array and coeffs an
-(m,) float64 array, sorted by (total degree, lexicographic exponent tuple).
+(m,) float64 array. Term tables go in; the products return the nonzero cells
+of their accumulator in code order, for the caller to canonicalize.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-# Exact float64 factorials up to 170!; the 171 slot is +inf (171! overflows
-# float64), so index with exponents clipped to MAX_EXACT_FACTORIAL + 1.
-FACTORIALS = np.concatenate(([1.0], np.cumprod(np.arange(1.0, 171.0)), [np.inf]))
-MAX_EXACT_FACTORIAL = 170
-
-# Coefficients below this magnitude are numeric dust and may be pruned.
-PRUNE_EPS = 1e-300
 
 # Dense accumulator cap: 2**26 float64 cells = 512 MiB.
 GRID_CELL_CAP = 1 << 26
@@ -28,13 +23,6 @@ GRID_CELL_CAP = 1 << 26
 # the ranges are within this factor of dense. Sparse inputs such as 1 + He_500
 # keep the loop.
 _DENSE_FACTOR = 8
-
-
-def grade_lex_order(exponents):
-    """Indices sorting multi-index rows by (total degree, lexicographic)."""
-    degrees = exponents.sum(axis=1)
-    keys = tuple(exponents[:, i] for i in range(exponents.shape[1] - 1, -1, -1))
-    return np.lexsort(keys + (degrees,))
 
 
 def _grid(exp_x, exp_y):
@@ -54,20 +42,15 @@ def _grid(exp_x, exp_y):
 
 
 def _extract(acc, radix):
-    """Nonzero cells of a dense accumulator as (degree, lex)-sorted terms."""
-    codes = np.flatnonzero(np.abs(acc) >= PRUNE_EPS)
+    """Nonzero cells of a dense accumulator as terms, in code order."""
+    codes = np.flatnonzero(acc)
     vals = acc[codes]
-    d = radix.shape[0]
-    exps = np.empty((codes.shape[0], d), dtype=np.int64)
+    exps = np.empty((codes.shape[0], radix.shape[0]), dtype=np.int64)
     rem = codes
-    for i in range(d - 1, -1, -1):
+    for i in range(radix.shape[0] - 1, -1, -1):
         exps[:, i] = rem % radix[i]
         rem = rem // radix[i]
-    if d == 1:
-        # ascending codes are ascending degrees
-        return exps, vals
-    order = grade_lex_order(exps)
-    return np.ascontiguousarray(exps[order]), np.ascontiguousarray(vals[order])
+    return exps, vals
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +162,7 @@ def hu_meyer_terms(exp_x, cx, exp_y, cy, max_contraction=-1):
 # or the overflow-safe normalized variant hat_h_k = He_k / sqrt(k!) with
 #   hat_h_{k+1} = (x hat_h_k - sqrt(k) hat_h_{k-1}) / sqrt(k+1),
 # in which case `coefs` must already carry the sqrt(alpha!) rescaling.
-# Terms are summed ascending in (degree, lex) order for every sample.
+# Terms are summed in table order for every sample.
 # ---------------------------------------------------------------------------
 
 

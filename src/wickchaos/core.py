@@ -27,8 +27,6 @@ from typing import Iterator
 import numpy as np
 from scipy.special import gammaln
 
-from ._kernels import FACTORIALS, MAX_EXACT_FACTORIAL, PRUNE_EPS, grade_lex_order
-
 __all__ = [
     "ChaosExpansion",
     "ExpVectorResult",
@@ -49,6 +47,21 @@ __all__ = [
     "from_json_dict",
     "expansion_hash",
 ]
+
+# Exact float64 factorials up to 170!; the 171 slot is +inf (171! overflows
+# float64), so index with exponents clipped to MAX_EXACT_FACTORIAL + 1.
+FACTORIALS = np.concatenate(([1.0], np.cumprod(np.arange(1.0, 171.0)), [np.inf]))
+MAX_EXACT_FACTORIAL = 170
+
+# Coefficients below this magnitude are numeric dust and are pruned.
+PRUNE_EPS = 1e-300
+
+
+def grade_lex_order(exponents):
+    """Indices sorting multi-index rows by (total degree, lexicographic)."""
+    degrees = exponents.sum(axis=1)
+    keys = tuple(exponents[:, i] for i in range(exponents.shape[1] - 1, -1, -1))
+    return np.lexsort(keys + (degrees,))
 
 
 def multi_index_factorial(alpha) -> float:
@@ -99,13 +112,6 @@ def _factorial_weighted(exponents, factors, power):
     return direct
 
 
-def _weighted_products(exponents, a, b):
-    """Per-term alpha! * a * b, robust to factorial overflow and product underflow."""
-    if a.shape[0] == 0:
-        return np.empty(0)
-    return _factorial_weighted(exponents, (a, b), 1)
-
-
 # Terms of the exponential series summed past a truncation degree before it is
 # declared divergent in float64 (|h|^2 too large for exp(|h|^2) to be finite).
 _EXP_TAIL_MAX_TERMS = 100000
@@ -147,7 +153,7 @@ class ChaosExpansion:
 
     Construct through :func:`make_expansion` (validating) or arithmetic on
     existing expansions. Terms are kept sorted by (degree, lexicographic
-    exponents) with exact-zero/subnormal coefficients pruned.
+    exponents) with coefficients below PRUNE_EPS pruned, by _from_arrays alone.
     """
 
     __slots__ = ("dim", "exponents", "coeffs", "degrees", "max_degree", "_lookup")
@@ -221,14 +227,8 @@ class ChaosExpansion:
         if not isinstance(other, ChaosExpansion):
             return NotImplemented
         _check_same_dim(self, other)
-        exps = np.concatenate([self.exponents, other.exponents])
-        vals = np.concatenate([self.coeffs, other.coeffs])
-        if exps.shape[0] == 0:
-            return ChaosExpansion._from_arrays(self.dim, exps, vals)
-        uniq, inverse = np.unique(exps, axis=0, return_inverse=True)
-        acc = np.zeros(uniq.shape[0])
-        np.add.at(acc, inverse, vals)
-        return ChaosExpansion._from_arrays(self.dim, uniq, acc)
+        exps, a, b = _union(self, other)
+        return ChaosExpansion._from_arrays(self.dim, exps, a + b)
 
     def __neg__(self):
         return ChaosExpansion._from_arrays(self.dim, self.exponents, -self.coeffs)
@@ -264,6 +264,17 @@ class ChaosExpansion:
 def _check_same_dim(x: ChaosExpansion, y: ChaosExpansion):
     if x.dim != y.dim:
         raise ValueError(f"dimension mismatch: {x.dim} != {y.dim}")
+
+
+def _union(x: ChaosExpansion, y: ChaosExpansion):
+    """(exponents, a, b): x's and y's coefficients on the union of supports, 0.0 if absent."""
+    stacked = np.concatenate([x.exponents, y.exponents])
+    exps, inverse = np.unique(stacked, axis=0, return_inverse=True)
+    a = np.zeros(exps.shape[0])
+    b = np.zeros(exps.shape[0])
+    a[inverse[: x.n_terms]] = x.coeffs
+    b[inverse[x.n_terms :]] = y.coeffs
+    return exps, a, b
 
 
 def make_expansion(dim: int, entries) -> ChaosExpansion:
@@ -312,7 +323,7 @@ def constant(dim: int, value: float = 1.0) -> ChaosExpansion:
 
 def l2_norm_sq(x: ChaosExpansion) -> float:
     """Squared L2 norm: sum_alpha alpha! c_alpha^2."""
-    return float(np.sum(_weighted_products(x.exponents, x.coeffs, x.coeffs)))
+    return float(np.sum(_factorial_weighted(x.exponents, (x.coeffs, x.coeffs), 1)))
 
 
 def l2_norm(x: ChaosExpansion) -> float:
@@ -324,14 +335,8 @@ def inner_product(x: ChaosExpansion, y: ChaosExpansion) -> float:
     _check_same_dim(x, y)
     if x.n_terms == 0 or y.n_terms == 0:
         return 0.0
-    # align the two supports on their union
-    exps = np.concatenate([x.exponents, y.exponents])
-    uniq, inverse = np.unique(exps, axis=0, return_inverse=True)
-    a = np.zeros(uniq.shape[0])
-    b = np.zeros(uniq.shape[0])
-    a[inverse[: x.n_terms]] = x.coeffs
-    b[inverse[x.n_terms :]] = y.coeffs
-    return float(np.sum(_weighted_products(uniq, a, b)))
+    exps, a, b = _union(x, y)
+    return float(np.sum(_factorial_weighted(exps, (a, b), 1)))
 
 
 def gamma(lam: float, x: ChaosExpansion) -> ChaosExpansion:
@@ -361,8 +366,7 @@ def first_order_kernel(x: ChaosExpansion) -> np.ndarray:
     """The degree-1 coefficient vector (c_{e_1}, ..., c_{e_d})."""
     h = np.zeros(x.dim)
     sel = x.degrees == 1
-    for row, c in zip(x.exponents[sel], x.coeffs[sel]):
-        h[int(np.argmax(row))] = c
+    h[np.argmax(x.exponents[sel], axis=1)] = x.coeffs[sel]
     return h
 
 
@@ -409,10 +413,11 @@ def exp_vector(h, max_degree: int) -> ExpVectorResult:
 
 
 def max_coeff_deviation(x: ChaosExpansion, y: ChaosExpansion) -> float:
-    """Max absolute coefficient difference over the union of supports."""
+    """Max absolute coefficient difference over the union of supports, as in x - y."""
     _check_same_dim(x, y)
-    diff = x - y
-    return float(np.max(np.abs(diff.coeffs))) if diff.n_terms else 0.0
+    _, a, b = _union(x, y)
+    dev = np.abs(a - b)
+    return float(np.max(dev, where=dev >= PRUNE_EPS, initial=0.0))
 
 
 # ---------------------------------------------------------------------------

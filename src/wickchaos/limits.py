@@ -28,8 +28,8 @@ from scipy.special import binom
 from .core import (
     ChaosExpansion,
     _exp_series,
+    _factorial_weighted,
     _power_tables,
-    _weighted_products,
     expansion_hash,
     first_order_kernel,
     gamma,
@@ -108,8 +108,8 @@ def _l2_distance_to_exponential(x: ChaosExpansion, h: np.ndarray, support_degree
     # t is 0 on rows using a coordinate outside supp h
     t = _power_tables(h, kmax)[np.arange(x.dim), exps].prod(axis=1)
     diff = x.coeffs - t
-    diff_sq = _weighted_products(exps, diff, diff)
-    target_sq = _weighted_products(exps, t, t)
+    diff_sq = _factorial_weighted(exps, (diff, diff), 1)
+    target_sq = _factorial_weighted(exps, (t, t), 1)
 
     masses, tail = _exp_series(float(h @ h), degree)
     on_support = exps @ (h == 0.0) == 0
@@ -147,7 +147,7 @@ def _gamma_tail_norm_sq(x: ChaosExpansion, lam: float) -> float:
     sel = x.degrees >= 1
     if not np.any(sel):
         return 0.0
-    terms = _weighted_products(x.exponents[sel], x.coeffs[sel], x.coeffs[sel])
+    terms = _factorial_weighted(x.exponents[sel], (x.coeffs[sel], x.coeffs[sel]), 1)
     scale = np.power(lam * lam, x.degrees[sel].astype(np.float64))
     return float(np.sum(terms * scale))
 

@@ -11,7 +11,6 @@ seed; the generator name is recorded in all sample metadata.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -55,32 +54,40 @@ def hermite_eval(k: int, x: float) -> float:
     if k < 0:
         raise ValueError("degree must be non-negative")
     he_k = ChaosExpansion(1, np.array([[k]]), np.ones(1), _trusted=True)
-    value = evaluate(he_k, [x])
-    if not math.isfinite(value):
-        raise ValueError(f"He_{k}({float(x)!r}) is not finite in float64")
-    return value
+    return evaluate(he_k, [x])
 
 
 def _evaluate_points(x: ChaosExpansion, pts: np.ndarray) -> np.ndarray:
+    """X at each row of pts; raises ValueError when a value is not finite."""
     if x.max_degree > HERMITE_DEGREE_CAP:
         raise ValueError(f"expansion degree {x.max_degree} exceeds cap {HERMITE_DEGREE_CAP}")
     normalized = x.max_degree > NORMALIZED_RECURRENCE_DEGREE
     # the normalized recurrence takes coefficients against the orthonormal
     # basis, c_alpha * sqrt(alpha!)
     coefs = _factorial_weighted(x.exponents, (x.coeffs,), 0.5) if normalized else x.coeffs
-    return _kernels.eval_batch(x.exponents, coefs, pts, normalized)
+    values = _kernels.eval_batch(x.exponents, coefs, pts, normalized)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"a value of a degree-{x.max_degree} expansion is not finite in float64")
+    return values
 
 
-def evaluate(x: ChaosExpansion, xi) -> float:
-    """Realize X at a point: sum_alpha c_alpha prod_i He_{alpha_i}(xi_i).
-
-    Terms are summed ascending in (degree, lex) order.
-    """
+def _check_point(x: ChaosExpansion, xi) -> np.ndarray:
+    """xi as a finite float64 vector of length x.dim."""
     xi = np.asarray(xi, dtype=np.float64).reshape(-1)
     if xi.shape[0] != x.dim:
         raise ValueError(f"dimension mismatch: point has length {xi.shape[0]}, dim {x.dim}")
     if not np.all(np.isfinite(xi)):
         raise ValueError("non-finite evaluation point")
+    return xi
+
+
+def evaluate(x: ChaosExpansion, xi) -> float:
+    """Realize X at a point: sum_alpha c_alpha prod_i He_{alpha_i}(xi_i).
+
+    Terms are summed ascending in (degree, lex) order. Raises ValueError when
+    the value is not finite in float64.
+    """
+    xi = _check_point(x, xi)
     return float(_evaluate_points(x, xi.reshape(1, -1))[0])
 
 
@@ -134,11 +141,7 @@ def ou_apply_mc(x: ChaosExpansion, t: float, xi, n_draws: int, seed: int) -> OuE
     n_draws = int(n_draws)
     if n_draws < 1:
         raise ValueError("n_draws must be positive")
-    xi = np.asarray(xi, dtype=np.float64).reshape(-1)
-    if xi.shape[0] != x.dim:
-        raise ValueError(f"dimension mismatch: point has length {xi.shape[0]}, dim {x.dim}")
-    if not np.all(np.isfinite(xi)):
-        raise ValueError("non-finite evaluation point")
+    xi = _check_point(x, xi)
     if t == 0.0:
         return OuEstimate(value=evaluate(x, xi), std_error=0.0, n_draws=n_draws)
     rng = np.random.default_rng(seed)
@@ -187,10 +190,11 @@ def write_samples_csv(batch: SampleBatch, path, tool_version: str = "") -> None:
             fh.write(f"# tool: wickchaos {tool_version}\n")
         fh.write(f"# seed: {batch.seed}\n")
         fh.write(f"# expansion-hash: {batch.expansion_hash}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["index", "value"])
-        for i, v in enumerate(batch.values):
-            writer.writerow([i, repr(float(v))])
+        fh.write("index,value\n")
+        # in slices, so a large batch never exists as python floats all at once
+        for lo in range(0, len(batch.values), 8192):
+            rows = batch.values[lo : lo + 8192].tolist()
+            fh.writelines(f"{i},{v!r}\n" for i, v in enumerate(rows, lo))
     meta = {
         "seed": batch.seed,
         "N": batch.size,

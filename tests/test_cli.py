@@ -3,7 +3,7 @@
 import json
 
 from wickchaos.cli import main, resolve_config
-from wickchaos.core import to_json_dict, univariate
+from wickchaos.core import make_expansion, to_json_dict, univariate
 
 
 def _write_expansion(path, coeffs):
@@ -109,6 +109,16 @@ def test_dist_small_sample_warning(tmp_path, capsys):
     )
     captured = capsys.readouterr()
     assert "minimum sample size" in captured.err
+
+
+def test_dist_overflowing_samples_exit_2(tmp_path, capsys):
+    # He_301 overflows float64 at every sample point
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(to_json_dict(make_expansion(1, {(0,): 1.0, (301,): 1.0}))))
+    args = ["dist", "--expansion", str(path), "--n", "1", "--samples", "1000"]
+    out = ["--out", str(tmp_path / "d.json"), "--samples-out", str(tmp_path / "s.csv")]
+    assert main(args + out) == 2
+    assert "not finite in float64" in capsys.readouterr().err
 
 
 def test_dist_degenerate_branch(tmp_path, capsys):

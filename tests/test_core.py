@@ -25,7 +25,13 @@ from wickchaos import (
     to_json_dict,
     univariate,
 )
-from wickchaos.core import _exp_series, _factorial_weighted
+from wickchaos.core import (
+    FACTORIALS,
+    PRUNE_EPS,
+    _exp_series,
+    _factorial_weighted,
+    grade_lex_order,
+)
 
 
 def test_make_expansion_constant_one():
@@ -64,6 +70,20 @@ def test_multi_index_factorial():
     assert multi_index_factorial((0, 0)) == 1.0
     assert multi_index_factorial((3, 2)) == 12.0
     assert multi_index_factorial((200,)) == math.inf
+
+
+def test_factorial_table():
+    assert FACTORIALS[0] == 1.0
+    assert FACTORIALS[5] == 120.0
+    assert FACTORIALS[170] < np.inf
+    assert FACTORIALS[171] == np.inf
+
+
+def test_grade_lex_order_sorts_canonically():
+    exps = np.array([[2, 0], [0, 1], [0, 0], [1, 1], [0, 2]], dtype=np.int64)
+    order = grade_lex_order(exps)
+    sorted_rows = [tuple(r) for r in exps[order].tolist()]
+    assert sorted_rows == [(0, 0), (0, 1), (0, 2), (1, 1), (2, 0)]
 
 
 def test_multi_indexes_of_degree_lex_order():
@@ -314,6 +334,56 @@ def test_first_order_kernel():
     assert np.array_equal(first_order_kernel(x), np.array([0.5, 0.0]))
     res = exp_vector([0.3, -0.7], 3)
     assert np.allclose(first_order_kernel(res.expansion), [0.3, -0.7], atol=0)
+
+
+def _reference_sum(x, y, sign):
+    """x + sign * y term by term, dropping sums below PRUNE_EPS."""
+    out = dict(x.terms())
+    for alpha, c in y.terms():
+        out[alpha] = out.get(alpha, 0.0) + sign * c
+    return {alpha: c for alpha, c in out.items() if abs(c) >= PRUNE_EPS}
+
+
+def test_union_operations_match_term_by_term_reference():
+    rng = np.random.default_rng(21)
+    for dim in (1, 2, 3):
+        pool = [a for k in range(5) for a in multi_indexes_of_degree(dim, k)]
+        even = [a for a in pool if sum(a) % 2 == 0]
+        odd = [a for a in pool if sum(a) % 2 == 1]
+
+        def draw(support, share=None):
+            picks = rng.choice(len(support), size=min(6, len(support)), replace=False)
+            entries = {support[i]: float(rng.uniform(-1, 1)) for i in picks.tolist()}
+            if share is not None:  # copy some terms, so that x - y cancels them exactly
+                entries.update(dict(list(share.terms())[::2]))
+            return make_expansion(dim, entries)
+
+        empty = make_expansion(dim, [])
+        x = draw(pool)
+        pairs = [
+            (x, draw(pool)),  # overlapping
+            (x, draw(pool, share=x)),  # overlapping, with equal coefficients
+            (draw(even), draw(odd)),  # disjoint
+            (x, empty),
+            (empty, x),
+            (empty, empty),
+        ]
+        for x, y in pairs:
+            for got, sign in ((x + y, 1.0), (x - y, -1.0)):
+                expected = _reference_sum(x, y, sign)
+                assert dict(got.terms()) == expected
+                assert [a for a, _ in got.terms()] == sorted(expected, key=lambda a: (sum(a), a))
+            cx, cy = dict(x.terms()), dict(y.terms())
+            inner = sum(
+                multi_index_factorial(a) * c * cy[a] for a, c in cx.items() if a in cy
+            )
+            assert inner_product(x, y) == pytest.approx(inner, rel=1e-14, abs=1e-300)
+            deviations = [abs(cx.get(a, 0.0) - cy.get(a, 0.0)) for a in cx.keys() | cy.keys()]
+            assert max_coeff_deviation(x, y) == max(
+                [d for d in deviations if d >= PRUNE_EPS], default=0.0
+            )
+    # the difference 5e-301 falls below PRUNE_EPS, as it does in x - y
+    assert max_coeff_deviation(univariate([1e-300]), univariate([1.5e-300])) == 0.0
 
 
 def test_arithmetic_and_immutability():

@@ -149,13 +149,6 @@ def test_hu_meyer_sparse_and_high_degree_cases():
     assert vals.tolist() == [7880400.0, 119400.0, 600.0, 1.0]
 
 
-def test_grade_lex_order_sorts_canonically():
-    exps = np.array([[2, 0], [0, 1], [0, 0], [1, 1], [0, 2]], dtype=np.int64)
-    order = _kernels.grade_lex_order(exps)
-    sorted_rows = [tuple(r) for r in exps[order].tolist()]
-    assert sorted_rows == [(0, 0), (0, 1), (0, 2), (1, 1), (2, 0)]
-
-
 def test_grid_cap_guard():
     big = make_expansion(3, [((400, 400, 400), 1.0), ((0, 0, 0), 1.0)])
     with pytest.raises(ValueError, match="grid"):
@@ -166,10 +159,9 @@ def test_exact_zero_coefficients_are_pruned():
     out = wick_product(univariate([1.0, 1.0]), univariate([1.0, -1.0]))
     assert out.n_terms == 2  # the degree-1 coefficient cancels exactly
     assert out.coeff((1,)) == 0.0
-
-
-def test_factorial_table():
-    assert _kernels.FACTORIALS[0] == 1.0
-    assert _kernels.FACTORIALS[5] == 120.0
-    assert _kernels.FACTORIALS[170] < np.inf
-    assert _kernels.FACTORIALS[171] == np.inf
+    # below PRUNE_EPS: the kernel returns the cell 1e-320, the expansion drops it
+    zero = np.zeros((1, 1), dtype=np.int64)
+    tiny = np.array([1e-160])
+    exps, vals = _kernels.convolve_terms(zero, tiny, zero, tiny)
+    assert exps.tolist() == [[0]] and vals.tolist() == [1e-160 * 1e-160]
+    assert wick_product(univariate([1e-160]), univariate([1e-160])).n_terms == 0

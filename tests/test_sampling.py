@@ -65,6 +65,18 @@ def test_hermite_degree_cap():
             hermite_eval(3, x)
 
 
+def test_evaluation_raises_on_overflow():
+    # sqrt(301!) overflows float64, so He_301 is not finite at any point
+    x = make_expansion(1, {(0,): 1.0, (301,): 1.0})
+    for evaluation in (
+        lambda: evaluate(x, [0.5]),
+        lambda: sample_batch(x, 5, seed=1),
+        lambda: ou_apply_mc(x, 0.3, [0.5], 10, seed=1),
+    ):
+        with pytest.raises(ValueError, match="not finite in float64"):
+            evaluation()
+
+
 def test_hermite_variance_normalization():
     # sample variance of He_k over Gaussians approximates k!
     rng = np.random.default_rng(8)
