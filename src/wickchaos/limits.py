@@ -21,6 +21,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy.special import binom
@@ -34,7 +35,7 @@ from .core import (
     first_order_kernel,
     gamma,
 )
-from .algebra import wick_power
+from .algebra import wick_power, wick_product
 from .sampling import ks_critical_value, ks_statistic, sample_batch
 
 __all__ = [
@@ -74,20 +75,37 @@ def _normalized(x: ChaosExpansion) -> ChaosExpansion:
     return x / mean
 
 
-def _rescaled_normalized(xn: ChaosExpansion, n: int) -> ChaosExpansion:
-    # Gamma(1/n) is a ⋄-homomorphism, so Gamma(1/n) X^{⋄n} = (Gamma(1/n) X)^{⋄n};
-    # scaling first keeps every intermediate bounded by the L2 norm, where the
-    # raw power's central coefficients overflow float64 past n ~ 1000.
-    return wick_power(gamma(1.0 / n, xn), n)
+def _rescaled_powers(xn: ChaosExpansion, ns) -> list[ChaosExpansion]:
+    """Gamma(1/n) Xn^{⋄n} for each n in ns (all >= 1), in the order given.
+
+    Gamma is a ⋄-homomorphism: chain[k] = (Gamma(2^-k) Xn)^{⋄2^k} is the ⋄-square of
+    Gamma(1/2) chain[k-1], and each power is the ⋄-product of Gamma(2^k/n) chain[k] over
+    the set bits k of n. Scaling before squaring keeps the central coefficients, which
+    overflow float64 in the raw power past n ~ 1000, bounded by the L2 norm.
+    """
+    chain = [xn]
+    while len(chain) < max(ns).bit_length():
+        half = gamma(0.5, chain[-1])
+        chain.append(wick_product(half, half))
+    return [
+        reduce(wick_product, [chain[k] if n == 1 << k else gamma((1 << k) / n, chain[k])
+                              for k in range(n.bit_length()) if n >> k & 1])
+        for n in ns
+    ]
 
 
-def rescaled_wick_power(x: ChaosExpansion, n: int) -> ChaosExpansion:
-    """Gamma(1/n) X^{⋄n} / E[X]^n, computed as (Gamma(1/n) (X/E[X]))^{⋄n}."""
+def _normalized_power(x: ChaosExpansion, n) -> tuple[ChaosExpansion, ChaosExpansion]:
+    """X/E[X] and Gamma(1/n) (X/E[X])^{⋄n}, for n >= 1."""
     n = operator.index(n)
     if n < 1:
         raise ValueError("n must be >= 1")
     xn = _normalized(x)
-    return _rescaled_normalized(xn, n)
+    return xn, _rescaled_powers(xn, [n])[0]
+
+
+def rescaled_wick_power(x: ChaosExpansion, n: int) -> ChaosExpansion:
+    """Gamma(1/n) X^{⋄n} / E[X]^n, computed as (Gamma(1/n) (X/E[X]))^{⋄n}."""
+    return _normalized_power(x, n)[1]
 
 
 def _l2_distance_to_exponential(x: ChaosExpansion, h: np.ndarray, support_degree: int) -> float:
@@ -102,28 +120,29 @@ def _l2_distance_to_exponential(x: ChaosExpansion, h: np.ndarray, support_degree
         alpha of degree k over supp h is stored,
       + the closed-form tail sum_{k > D} |h|^(2k) / k!.
     """
-    degree = max(int(support_degree), x.max_degree)
+    top = x.max_degree
+    degree = max(int(support_degree), top)
     exps = x.exponents
-    kmax = int(exps.max(initial=0))
     # t is 0 on rows using a coordinate outside supp h
-    t = _power_tables(h, kmax)[np.arange(x.dim), exps].prod(axis=1)
-    diff = x.coeffs - t
-    diff_sq = _factorial_weighted(exps, (diff, diff), 1)
-    target_sq = _factorial_weighted(exps, (t, t), 1)
+    t = _power_tables(h, top)[np.arange(x.dim), exps].prod(axis=1)
+    both = np.concatenate((x.coeffs - t, t))
+    weighted = _factorial_weighted(np.concatenate((exps, exps)), (both, both), 1)
+    diff_sq, target_sq = weighted[: x.n_terms], weighted[x.n_terms :]
 
     masses, tail = _exp_series(float(h @ h), degree)
     on_support = exps @ (h == 0.0) == 0
-    stored = np.bincount(x.degrees, weights=target_sq, minlength=degree + 1)
-    counts = np.bincount(x.degrees[on_support], minlength=degree + 1)
-    k = np.arange(degree + 1)
+    stored = np.bincount(x.degrees, weights=target_sq, minlength=top + 1)
+    counts = np.bincount(x.degrees[on_support], minlength=top + 1)
+    k = np.arange(top + 1)
     # C(k + s - 1, k) multi-indexes of degree k over s = |supp h| coordinates
     # (exact in float64 wherever it is small enough to equal a term count);
     # h = 0 counts as s = 1, which is right at degree 0 and harmless above,
     # where its masses are 0
     s = max(np.count_nonzero(h), 1)
     complete = counts == np.rint(binom(k + s - 1, k))
-    unstored = np.where(complete, 0.0, np.maximum(masses - stored, 0.0))
-    return math.sqrt(float(np.sum(diff_sq)) + float(np.sum(unstored)) + tail)
+    # masses becomes the unstored mass; nothing is stored above degree top
+    masses[: top + 1] = np.where(complete, 0.0, np.maximum(masses[: top + 1] - stored, 0.0))
+    return math.sqrt(float(diff_sq.sum()) + float(masses.sum()) + tail)
 
 
 def convergence_error(x: ChaosExpansion, n: int) -> float:
@@ -133,11 +152,7 @@ def convergence_error(x: ChaosExpansion, n: int) -> float:
     n * x.max_degree; the exponential mass beyond that enters through the
     closed-form series tail, so there is no truncation error.
     """
-    n = operator.index(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    xn = _normalized(x)
-    r = _rescaled_normalized(xn, n)
+    xn, r = _normalized_power(x, n)
     h1 = first_order_kernel(xn)
     return _l2_distance_to_exponential(r, h1, n * x.max_degree)
 
@@ -177,7 +192,10 @@ def proof_bound_factors(x: ChaosExpansion, n: int) -> BoundFactors:
     if n < 2:
         raise ValueError("the certificate is defined for n >= 2")
     xn = _normalized(x)
-    h1 = first_order_kernel(xn)
+    return _bound_factors(xn, first_order_kernel(xn), n)
+
+
+def _bound_factors(xn: ChaosExpansion, h1: np.ndarray, n: int) -> BoundFactors:
     hsq = float(h1 @ h1)
     lam2 = math.sqrt(2.0) / n
     middle = _l2_distance_to_exponential(gamma(lam2, xn), lam2 * h1, xn.max_degree)
@@ -270,12 +288,13 @@ def convergence_report(x: ChaosExpansion, ns=None, n_max: int = 512) -> Converge
     if any(n < 2 for n in ns):
         raise ValueError("schedule entries must be >= 2")
     entries = []
-    for n in ns:
-        err = convergence_error(x, n)
-        factors = proof_bound_factors(x, n)
-        entries.append(
-            ConvergenceEntry(n=n, error=err, bound=factors.bound, norm_gamma=factors.gamma_norm)
-        )
+    if ns:
+        xn = _normalized(x)
+        h1 = first_order_kernel(xn)
+        for n, r in zip(ns, _rescaled_powers(xn, ns)):
+            err = _l2_distance_to_exponential(r, h1, n * x.max_degree)
+            factors = _bound_factors(xn, h1, n)
+            entries.append(ConvergenceEntry(n, err, factors.bound, factors.gamma_norm))
     rate = _fit_rate([e.n for e in entries], [e.error for e in entries])
     return ConvergenceReport(entries=tuple(entries), fitted_rate=rate, input_hash=expansion_hash(x))
 
@@ -345,11 +364,7 @@ def limit_distribution_test(
         raise ValueError("n_samples must be positive")
     if n_samples < 1000:
         warnings.warn("n_samples below the minimum meaningful size 1000", stacklevel=2)
-    n = operator.index(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    xn = _normalized(x)
-    r = _rescaled_normalized(xn, n)
+    xn, r = _normalized_power(x, n)
     h1 = first_order_kernel(xn)
     hsq = float(h1 @ h1)
     batch = sample_batch(r, n_samples, seed)

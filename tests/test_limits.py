@@ -1,6 +1,7 @@
 """Rescaled Wick powers: exact errors, certificates, and limit laws."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from wickchaos import (
     convergence_report,
     exp_vector,
     first_order_kernel,
+    gamma,
     inner_product,
     limit_distribution_test,
     make_expansion,
@@ -26,6 +28,7 @@ from wickchaos import (
     wick_power,
     write_convergence_csv,
 )
+from wickchaos import _kernels
 from wickchaos.limits import _l2_distance_to_exponential
 
 X11 = univariate([1.0, 1.0])  # 1 + He1
@@ -74,6 +77,53 @@ def test_rescaled_power_scale_invariance():
             b = rescaled_wick_power(lam * x, n)
             scale = max(1.0, float(np.max(np.abs(a.coeffs))))
             assert max_coeff_deviation(a, b) / scale <= 1e-12
+
+
+# Inputs in dims 1-3 and the largest K checked for each. Pruning at PRUNE_EPS
+# is the limit, not GRID_CELL_CAP: the chain and the pre-scaled squaring prune
+# intermediates at scales 2^-(K-k)d apart, so once pruned cells still feed the
+# result (the dim-2 input at K = 8) they agree to rounding only.
+_DYADIC_CASES = (
+    (univariate([1.2, 0.6, -0.3, 0.2]), 11),
+    (make_expansion(2, [((0, 0), 0.9), ((1, 0), 0.3), ((0, 1), -0.2), ((1, 1), 0.1), ((0, 2), 0.05)]), 6),
+    (make_expansion(3, [((0, 0, 0), 1.1), ((1, 0, 0), 0.3), ((0, 1, 0), -0.2), ((0, 0, 1), 0.1), ((1, 1, 0), 0.05)]), 5),
+)
+
+
+def test_rescaled_power_dyadic_is_repeated_squaring():
+    # scaling by 2^-k is exact and every product cell has one total degree, so
+    # rescaling before each squaring changes no bit
+    for x, k_max in _DYADIC_CASES:
+        for k in range(k_max + 1):
+            chain = rescaled_wick_power(x, 2**k)
+            squared = wick_power(gamma(2.0**-k, x / x.mean()), 2**k)
+            assert np.array_equal(chain.exponents, squared.exponents)
+            assert np.array_equal(chain.coeffs, squared.coeffs)
+
+
+def test_rescaled_power_binomial_fraction_oracle():
+    # (Gamma(1/n)(1 + h He1))^{<>n} has coefficient C(n, k) (h/n)^k at order k,
+    # with h = b/a exact in rationals. Each cell sums terms of one sign
+    # sign(h)^k, so no cancellation: the relative error is at most the rounding
+    # count, u per order for h = fl(b/a), (k + 2) per Wick product and (k + 1)
+    # per Gamma(2^j/n) scaling.
+    u = 2.0**-53
+    rng = np.random.default_rng(23)
+    cases = [(1.0, 1.0)]
+    for _ in range(6):
+        a = float(rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0]))
+        cases.append((a, a * float(rng.uniform(0.5, 1.5) * rng.choice([-1.0, 1.0]))))
+    for a, b in cases:
+        h = Fraction(b) / Fraction(a)
+        for n in (3, 5, 6, 7, 12, 24, 96, 112):
+            r = rescaled_wick_power(univariate([a, b]), n)
+            assert r.max_degree == n
+            products = n.bit_length() + n.bit_count() - 2
+            scalings = n.bit_count()
+            for k in range(n + 1):
+                exact = math.comb(n, k) * (h / n) ** k
+                err = abs(Fraction(r.coeff((k,))) - exact) / abs(exact)
+                assert err <= (k + products * (k + 2) + scalings * (k + 1)) * u
 
 
 def test_zero_mean_is_rejected():
@@ -364,9 +414,53 @@ def test_convergence_report_schedule_and_rate():
     assert -1.3 <= rep.fitted_rate <= -0.7
 
 
-def test_convergence_report_rejects_small_n():
+def test_convergence_report_rejects_small_n(monkeypatch):
     with pytest.raises(ValueError, match=">= 2"):
         convergence_report(X11, ns=[1, 2])
+    # the schedule is checked before any work: no normalization, no product
+    monkeypatch.setattr(_kernels, "convolve_terms", None)
+    with pytest.raises(ValueError, match="schedule entries must be >= 2"):
+        convergence_report(univariate([0.0, 1.0]), ns=[4, 1])
+
+
+def test_convergence_report_schedule_edges():
+    # an empty schedule does no work, so even a zero-mean input reports nothing
+    for x in (X11, univariate([0.0, 1.0])):
+        rep = convergence_report(x, ns=[])
+        assert rep.entries == ()
+        assert math.isnan(rep.fitted_rate)
+        assert rep.input_hash
+    # unsorted and repeated schedules keep the caller's order
+    rep = convergence_report(X11, ns=[8, 2, 8])
+    assert [e.n for e in rep.entries] == [8, 2, 8]
+    assert rep.entries[0] == rep.entries[2]
+    assert rep.entries[1].error == convergence_error(X11, 2)
+
+
+def test_convergence_report_entries_match_standalone():
+    x2 = make_expansion(2, [((0, 0), -1.3), ((1, 0), 0.4), ((0, 1), 0.7), ((1, 1), -0.2)])
+    for x in (X11, univariate([0.9, -0.5, 0.3, 0.1]), x2):
+        for ns in ([2, 4, 8, 16, 32, 64], [3, 5, 6, 7, 12, 24], [12, 2, 7, 64, 3, 7]):
+            for e in convergence_report(x, ns=ns).entries:
+                factors = proof_bound_factors(x, e.n)
+                assert e.error == convergence_error(x, e.n)
+                assert e.bound == factors.bound == proof_bound(x, e.n)
+                assert e.norm_gamma == factors.gamma_norm
+
+
+def test_convergence_report_shares_one_chain(monkeypatch):
+    # one squaring per doubling: 10 Wick products to n = 1024, where a fresh
+    # power per n would take 1 + 2 + ... + 10 = 55
+    calls = []
+    convolve = _kernels.convolve_terms
+
+    def spy(*args):
+        calls.append(args)
+        return convolve(*args)
+
+    monkeypatch.setattr(_kernels, "convolve_terms", spy)
+    convergence_report(univariate([0.9, -0.5, 0.3]), n_max=1024)
+    assert len(calls) == 10
 
 
 def test_convergence_csv_round_trip(tmp_path):
