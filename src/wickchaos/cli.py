@@ -1,5 +1,5 @@
-"""Batch front door: verification suites, convergence and distribution
-experiments, and kernel benchmarks, all emitting deterministic CSV/JSON.
+"""Batch front door: identity-suite verification plus convergence and
+distribution experiments, all emitting deterministic CSV/JSON.
 
 Config precedence: command-line flags > JSON config file > built-in defaults.
 Exit codes: 0 success, 1 verification failure, 2 invalid input.
@@ -10,19 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
+import warnings
 
 from . import __version__
-from .core import (
-    expansion_hash,
-    from_json_dict,
-    make_expansion,
-    max_coeff_deviation,
-    to_json_dict,
-)
-from .algebra import wick_product, wick_power
+from .core import expansion_hash, from_json_dict, to_json_dict
 from .limits import (
-    ZeroMeanError,
     convergence_report,
     default_n_schedule,
     limit_distribution_test,
@@ -51,12 +43,6 @@ _DEFAULTS = {
         "concentration_eps": 0.01,
         "out": "dist.json",
         "samples_out": "samples.csv",
-    },
-    "bench": {
-        "ns": [16, 64, 128, 256, 512],
-        "dim": 1,
-        "degree": 1,
-        "out": "bench.csv",
     },
 }
 
@@ -101,12 +87,7 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _cmd_verify(args) -> int:
-    cfg = resolve_config(
-        "verify",
-        _load_config(args.config),
-        {"cases": args.cases, "seed": args.seed, "tolerance": args.tolerance, "out": args.out},
-    )
+def _cmd_verify(cfg) -> int:
     results = run_suites(seed=int(cfg["seed"]), cases=int(cfg["cases"]), tolerance=cfg["tolerance"])
     lines = [f"identity suites: {len(results)} (cases={cfg['cases']}, seed={cfg['seed']})"]
     for r in results:
@@ -124,12 +105,7 @@ def _cmd_verify(args) -> int:
     return 0 if not failed else 1
 
 
-def _cmd_converge(args) -> int:
-    cfg = resolve_config(
-        "converge",
-        _load_config(args.config),
-        {"expansion": args.expansion, "n_max": args.n_max, "out": args.out},
-    )
+def _cmd_converge(cfg) -> int:
     x = from_json_dict(cfg["expansion"])
     ns = cfg["n_list"] if cfg["n_list"] else default_n_schedule(int(cfg["n_max"]))
     report = convergence_report(x, ns=ns)
@@ -139,30 +115,21 @@ def _cmd_converge(args) -> int:
     return 0
 
 
-def _cmd_dist(args) -> int:
-    cfg = resolve_config(
-        "dist",
-        _load_config(args.config),
-        {
-            "expansion": args.expansion,
-            "n": args.n,
-            "samples": args.samples,
-            "seed": args.seed,
-            "out": args.out,
-            "samples_out": args.samples_out,
-        },
-    )
+def _cmd_dist(cfg) -> int:
     x = from_json_dict(cfg["expansion"])
     n_samples = int(cfg["samples"])
     if n_samples < 1000:
         sys.stderr.write("warning: below minimum sample size 1000; statistics unreliable\n")
-    report = limit_distribution_test(
-        x,
-        int(cfg["n"]),
-        n_samples,
-        int(cfg["seed"]),
-        concentration_eps=float(cfg["concentration_eps"]),
-    )
+    with warnings.catch_warnings():
+        # the line above already told the user; keep the library's warning out of stderr
+        warnings.filterwarnings("ignore", "n_samples below the minimum", UserWarning)
+        report = limit_distribution_test(
+            x,
+            int(cfg["n"]),
+            n_samples,
+            int(cfg["seed"]),
+            concentration_eps=float(cfg["concentration_eps"]),
+        )
     write_distribution_json(report, cfg["out"], tool_version=__version__, input_hash=expansion_hash(x))
     write_samples_csv(report.batch, cfg["samples_out"], tool_version=__version__)
     crit = ks_critical_value(n_samples)
@@ -178,49 +145,6 @@ def _cmd_dist(args) -> int:
             f"ks_log_normal: {_fmt(report.ks_log_normal)}  frac_nonpositive: {_fmt(report.frac_nonpositive)}\n"
         )
     sys.stdout.write(f"wrote {cfg['out']} and {cfg['samples_out']}\n")
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    overrides = {
-        "ns": [int(v) for v in args.ns.split(",") if v] if args.ns is not None else None,
-        "dim": args.dim,
-        "degree": args.degree,
-        "out": args.out,
-    }
-    cfg = resolve_config("bench", _load_config(args.config), overrides)
-    dim = int(cfg["dim"])
-    degree = int(cfg["degree"])
-    ns = [int(v) for v in cfg["ns"]]
-    alpha = [0] * dim
-    entries = [(tuple(alpha), 1.0)]
-    for k in range(1, degree + 1):
-        entries.append(((k,) + (0,) * (dim - 1), 1.0 / k))
-    x = make_expansion(dim, entries)
-    rows = []
-    for n in ns:
-        t0 = time.perf_counter()
-        w = wick_power(x, n)
-        millis = (time.perf_counter() - t0) * 1000.0
-        rows.append((n, w.max_degree, w.n_terms, millis))
-    # strategy self-check: repeated squaring against the iterated product
-    check_n = 16
-    w_sq = wick_power(x, check_n)
-    w_it = x
-    for _ in range(check_n - 1):
-        w_it = wick_product(w_it, x)
-    dev = max_coeff_deviation(w_sq, w_it)
-    if dev > 1e-12:
-        sys.stderr.write(f"bench self-check failed: deviation {dev:.3e}\n")
-        return 1
-    path = cfg["out"]
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"# tool: wickchaos {__version__}\n")
-        fh.write(f"# dim: {dim}\n# degree: {degree}\n")
-        fh.write("n,degree,coeff_count,millis\n")
-        for n, deg, count, millis in rows:
-            fh.write(f"{n},{deg},{count},{millis:.3f}\n")
-    sys.stdout.write(f"wrote {path}\n")
     return 0
 
 
@@ -256,25 +180,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="report JSON path")
     p.add_argument("--samples-out", dest="samples_out", help="samples CSV path")
     p.set_defaults(func=_cmd_dist)
-
-    p = sub.add_parser("bench", help="time the Wick-power convolution kernels")
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--ns", help="comma-separated power list, e.g. 16,64,512")
-    p.add_argument("--dim", type=int, help="basis dimension of the bench input")
-    p.add_argument("--degree", type=int, help="degree of the bench input")
-    p.add_argument("--out", help="output CSV path")
-    p.set_defaults(func=_cmd_bench)
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
+    # every flag's dest is a config key of its command (tests/test_cli.py checks this)
+    overrides = {k: v for k, v in vars(args).items() if k in _DEFAULTS[args.command]}
     try:
-        return args.func(args)
-    except ZeroMeanError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        cfg = resolve_config(args.command, _load_config(args.config), overrides)
+        return args.func(cfg)
+    except (ValueError, OSError) as exc:  # includes ZeroMeanError and JSONDecodeError
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

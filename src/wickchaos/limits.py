@@ -15,7 +15,6 @@ projection (see min_chaos_order).
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import operator
@@ -306,20 +305,14 @@ def write_convergence_csv(report: ConvergenceReport, path, tool_version: str = "
             fh.write(f"# tool: wickchaos {tool_version}\n")
         fh.write(f"# input-hash: {report.input_hash}\n")
         fh.write(f"# fitted-rate: {repr(float(report.fitted_rate))}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n", "error", "bound", "norm_gamma", "rate_running"])
+        fh.write("n,error,bound,norm_gamma,rate_running\n")
         for i, entry in enumerate(report.entries):
             running = _fit_rate(
                 [e.n for e in report.entries[: i + 1]], [e.error for e in report.entries[: i + 1]]
             )
-            writer.writerow(
-                [
-                    entry.n,
-                    repr(float(entry.error)),
-                    repr(float(entry.bound)),
-                    repr(float(entry.norm_gamma)),
-                    repr(float(running)),
-                ]
+            fh.write(
+                f"{entry.n},{float(entry.error)!r},{float(entry.bound)!r},"
+                f"{float(entry.norm_gamma)!r},{float(running)!r}\n"
             )
 
 

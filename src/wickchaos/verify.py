@@ -280,6 +280,8 @@ def run_suite(name: str, seed: int = 2024, cases: int = 1000, tolerance=None) ->
     """Run one named suite on a fresh seeded generator."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}")
+    if int(cases) < 1:
+        raise ValueError(f"cases must be at least 1, got {cases}")
     fn, default_tol = _SUITES[name]
     tol = default_tol if tolerance is None else float(tolerance)
     rng = np.random.default_rng([seed, SUITE_NAMES.index(name)])

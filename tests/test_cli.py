@@ -1,8 +1,11 @@
 """Command-line interface: subcommands, config precedence, determinism, exit codes."""
 
+import argparse
 import json
 
-from wickchaos.cli import main, resolve_config
+import pytest
+
+from wickchaos.cli import _DEFAULTS, build_parser, main, resolve_config
 from wickchaos.core import make_expansion, to_json_dict, univariate
 
 
@@ -23,6 +26,15 @@ def test_verify_broken_tolerance_fails(capsys):
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert "gamma-composition" in out
+
+
+@pytest.mark.parametrize("cases", ["0", "-3"])
+def test_verify_without_cases_exits_2(cases, capsys):
+    # checking nothing must not read as "13/13 suites passed"
+    assert main(["verify", "--cases", cases]) == 2
+    captured = capsys.readouterr()
+    assert "suites passed" not in captured.out
+    assert "cases must be at least 1" in captured.err
 
 
 def test_verify_report_file(tmp_path, capsys):
@@ -88,7 +100,9 @@ def test_dist_rerun_is_byte_identical(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.filterwarnings("error")
 def test_dist_small_sample_warning(tmp_path, capsys):
+    # exactly one line, the CLI's own: the library's UserWarning must not leak too
     assert (
         main(
             [
@@ -109,6 +123,7 @@ def test_dist_small_sample_warning(tmp_path, capsys):
     )
     captured = capsys.readouterr()
     assert "minimum sample size" in captured.err
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_dist_overflowing_samples_exit_2(tmp_path, capsys):
@@ -148,26 +163,31 @@ def test_dist_degenerate_branch(tmp_path, capsys):
     assert report["concentration_at_one"] == 1.0
 
 
-def test_bench_writes_per_backend_files(tmp_path, capsys):
-    # one kernel path: a single CSV at --out, nothing else
-    out = tmp_path / "bench.csv"
-    assert main(["bench", "--ns", "8,16", "--out", str(out)]) == 0
-    captured = capsys.readouterr().out
-    assert [p.name for p in tmp_path.iterdir()] == ["bench.csv"]
-    body = out.read_text().splitlines()
-    data = [l for l in body if not l.startswith("#")]
-    assert data[0] == "n,degree,coeff_count,millis"
-    assert [row.split(",")[:3] for row in data[1:]] == [["8", "8", "9"], ["16", "16", "17"]]
-    assert captured == f"wrote {out}\n"
-
-
-def test_bench_empty_n_list(tmp_path, capsys):
-    out = tmp_path / "bench.csv"
-    assert main(["bench", "--ns", "", "--out", str(out)]) == 0
-    body = out.read_text().splitlines()
-    data = [l for l in body if not l.startswith("#")]
-    assert data == ["n,degree,coeff_count,millis"]
+def test_parse_state_does_not_carry_over(tmp_path, capsys):
+    # the parser is built once per process; each call must still start from the defaults
+    out = ["--samples", "1000", "--out", str(tmp_path / "d.json"), "--samples-out", str(tmp_path / "s.csv")]
+    assert main(["dist", "--n", "8"] + out) == 0
+    assert json.loads((tmp_path / "d.json").read_text())["n"] == 8
+    assert main(["dist"] + out) == 0
+    assert json.loads((tmp_path / "d.json").read_text())["n"] == 64
     capsys.readouterr()
+
+
+def test_every_flag_is_a_config_key():
+    # main keeps only the dests that are config keys, so a flag without one would vanish silently
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == set(_DEFAULTS) == {"verify", "converge", "dist"}
+    for command, parser in sub.choices.items():
+        for action in parser._actions:
+            if action.dest not in ("help", "config"):
+                assert action.dest in _DEFAULTS[command], (command, action.dest)
+
+
+def test_bench_is_not_a_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):
