@@ -42,7 +42,7 @@ def _grid(exp_x, exp_y):
 
 
 def _extract(acc, radix):
-    """Nonzero cells of a dense accumulator as terms, in code order."""
+    """Nonzero cells of a dense accumulator as terms, in code order (lex: axis 0 most significant)."""
     codes = np.flatnonzero(acc)
     vals = acc[codes]
     exps = np.empty((codes.shape[0], radix.shape[0]), dtype=np.int64)

@@ -118,7 +118,7 @@ def _cmd_converge(cfg) -> int:
 def _cmd_dist(cfg) -> int:
     x = from_json_dict(cfg["expansion"])
     n_samples = int(cfg["samples"])
-    if n_samples < 1000:
+    if 1 <= n_samples < 1000:
         sys.stderr.write("warning: below minimum sample size 1000; statistics unreliable\n")
     with warnings.catch_warnings():
         # the line above already told the user; keep the library's warning out of stderr
@@ -193,7 +193,7 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args.command, _load_config(args.config), overrides)
         return args.func(cfg)
-    except (ValueError, OSError) as exc:  # includes ZeroMeanError and JSONDecodeError
+    except (ValueError, TypeError, OSError) as exc:  # incl. ZeroMeanError, JSONDecodeError, mistyped config values
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

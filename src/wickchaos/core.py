@@ -158,32 +158,39 @@ class ChaosExpansion:
 
     __slots__ = ("dim", "exponents", "coeffs", "degrees", "max_degree", "_lookup")
 
-    def __init__(self, dim, exponents, coeffs, _trusted=False):
+    def __init__(self, dim, exponents, coeffs, degrees, _trusted=False):
         if not _trusted:
             raise TypeError("use make_expansion() to build expansions")
         self.dim = dim
         self.exponents = exponents
         self.coeffs = coeffs
-        self.degrees = exponents.sum(axis=1)
-        self.max_degree = int(self.degrees[-1]) if coeffs.shape[0] else 0
+        self.degrees = degrees
+        self.max_degree = int(degrees[-1]) if coeffs.shape[0] else 0
         self._lookup = None
 
     @classmethod
     def _from_arrays(cls, dim, exponents, coeffs):
+        """Canonical expansion from a term table whose rows are lex-ordered within each degree.
+
+        Kernel products (code order), _union and the scalar ops all give such
+        rows, so one stable sort by degree yields the (degree, lex) order;
+        make_expansion pre-sorts arbitrary input with grade_lex_order.
+        """
         exponents = np.ascontiguousarray(exponents, dtype=np.int64).reshape(-1, dim)
         coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
-        if not np.all(np.isfinite(coeffs)):
+        if not np.isfinite(coeffs).all():
             raise ValueError("non-finite coefficient")
         keep = np.abs(coeffs) >= PRUNE_EPS
-        if not np.all(keep):
+        if not keep.all():
             exponents = exponents[keep]
             coeffs = coeffs[keep]
-        order = grade_lex_order(exponents)
-        exponents = np.ascontiguousarray(exponents[order])
-        coeffs = np.ascontiguousarray(coeffs[order])
+        degrees = exponents.sum(axis=1)
+        order = degrees.argsort(kind="stable")
+        exponents = exponents.take(order, axis=0)
+        coeffs = coeffs.take(order)
         exponents.setflags(write=False)
         coeffs.setflags(write=False)
-        return cls(dim, exponents, coeffs, _trusted=True)
+        return cls(dim, exponents, coeffs, degrees.take(order), _trusted=True)
 
     @property
     def n_terms(self) -> int:
@@ -236,7 +243,9 @@ class ChaosExpansion:
     def __sub__(self, other):
         if not isinstance(other, ChaosExpansion):
             return NotImplemented
-        return self + (-other)
+        _check_same_dim(self, other)
+        exps, a, b = _union(self, other)
+        return ChaosExpansion._from_arrays(self.dim, exps, a - b)
 
     def __mul__(self, scalar):
         if isinstance(scalar, ChaosExpansion):
@@ -267,9 +276,15 @@ def _check_same_dim(x: ChaosExpansion, y: ChaosExpansion):
 
 
 def _union(x: ChaosExpansion, y: ChaosExpansion):
-    """(exponents, a, b): x's and y's coefficients on the union of supports, 0.0 if absent."""
+    """(exponents, a, b): x's and y's coefficients on the lex-ordered union of supports, 0.0 if absent."""
     stacked = np.concatenate([x.exponents, y.exponents])
-    exps, inverse = np.unique(stacked, axis=0, return_inverse=True)
+    order = np.lexsort(stacked.T[::-1])
+    rows = stacked[order]
+    first = np.ones(rows.shape[0], dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    inverse = np.empty_like(order)
+    inverse[order] = first.cumsum() - 1
+    exps = rows[first]
     a = np.zeros(exps.shape[0])
     b = np.zeros(exps.shape[0])
     a[inverse[: x.n_terms]] = x.coeffs
@@ -308,7 +323,8 @@ def make_expansion(dim: int, entries) -> ChaosExpansion:
         rows.append(alpha)
         vals.append(c)
     exps = np.array(rows, dtype=np.int64).reshape(len(rows), dim)
-    return ChaosExpansion._from_arrays(dim, exps, np.array(vals))
+    order = grade_lex_order(exps)
+    return ChaosExpansion._from_arrays(dim, exps[order], np.array(vals)[order])
 
 
 def univariate(coeffs) -> ChaosExpansion:
@@ -398,7 +414,7 @@ def exp_vector(h, max_degree: int) -> ExpVectorResult:
     d = h.shape[0]
     tables = _power_tables(h, max_degree)
     # every multi-index over supp h of degree <= max_degree, built one
-    # coordinate at a time from the zero row
+    # coordinate at a time from the zero row, so the rows come out in lex order
     exps = np.zeros((1, d), dtype=np.int64)
     vals = np.ones(1)
     for i in np.flatnonzero(h):

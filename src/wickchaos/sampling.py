@@ -53,7 +53,7 @@ def hermite_eval(k: int, x: float) -> float:
     k = int(k)
     if k < 0:
         raise ValueError("degree must be non-negative")
-    he_k = ChaosExpansion(1, np.array([[k]]), np.ones(1), _trusted=True)
+    he_k = ChaosExpansion(1, np.array([[k]]), np.ones(1), np.array([k]), _trusted=True)
     return evaluate(he_k, [x])
 
 

@@ -126,6 +126,28 @@ def test_dist_small_sample_warning(tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_dist_nonpositive_samples_prints_only_the_error(samples, tmp_path, capsys):
+    out = ["--out", str(tmp_path / "d.json"), "--samples-out", str(tmp_path / "s.csv")]
+    assert main(["dist", "--samples", samples] + out) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: n_samples must be positive"]
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [("converge", {"n_list": [2.5, 4]}), ("dist", {"n": [3]})],
+)
+def test_mistyped_config_value_exits_2(command, cfg, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = ["--out", str(tmp_path / "o.out")]
+    if command == "dist":
+        out += ["--samples-out", str(tmp_path / "s.csv")]
+    assert main([command, "--config", str(path)] + out) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_dist_overflowing_samples_exit_2(tmp_path, capsys):
     # He_301 overflows float64 at every sample point
     path = tmp_path / "x.json"

@@ -20,16 +20,20 @@ from wickchaos import (
     max_coeff_deviation,
     multi_index_factorial,
     multi_indexes_of_degree,
+    pointwise_product,
     project_degree,
+    rescaled_wick_power,
     sample_batch,
     to_json_dict,
     univariate,
+    wick_product,
 )
 from wickchaos.core import (
     FACTORIALS,
     PRUNE_EPS,
     _exp_series,
     _factorial_weighted,
+    _union,
     grade_lex_order,
 )
 
@@ -429,3 +433,85 @@ def test_expansion_hash_is_order_insensitive():
     b = make_expansion(1, [((3,), 2.0), ((0,), 1.0)])
     assert expansion_hash(a) == expansion_hash(b)
     assert expansion_hash(a) != expansion_hash(univariate([1.0]))
+
+
+def _assert_canonical(r):
+    assert np.array_equal(grade_lex_order(r.exponents), np.arange(r.n_terms))
+    assert np.array_equal(r.degrees, r.exponents.sum(axis=1))
+
+
+def test_every_producer_returns_canonical_rows():
+    # _from_arrays sorts by degree only, so each producer must hand it rows
+    # that are already lex-ordered within each degree
+    rng = np.random.default_rng(8)
+    for dim in (1, 2, 3):
+        pool = [a for k in range(4) for a in multi_indexes_of_degree(dim, k)]
+        picks = rng.permutation(len(pool))
+        shuffled = make_expansion(dim, [(pool[i], float(rng.uniform(-1, 1))) for i in picks.tolist()])
+        y = make_expansion(dim, {pool[i]: float(rng.uniform(-1, 1)) for i in picks[::2].tolist()})
+        empty = make_expansion(dim, [])
+        h = np.linspace(-0.5, 0.7, dim)
+        h[0] = 0.0
+        for x in (shuffled, y, empty):
+            produced = [
+                x,
+                wick_product(x, y),
+                pointwise_product(x, y),
+                pointwise_product(x, y, max_contraction=0),
+                pointwise_product(x, y, max_contraction=2),
+                x + y,
+                x - y,
+                y - x,
+                -x,
+                2.5 * x,
+                gamma(0.7, x),
+                project_degree(x, 2),
+                project_degree(x, 2, mode="exactly"),
+            ]
+            for r in produced:
+                _assert_canonical(r)
+        _assert_canonical(exp_vector(h, 5).expansion)
+        _assert_canonical(exp_vector(np.zeros(dim), 5).expansion)
+        _assert_canonical(rescaled_wick_power(constant(dim) + y, 6))
+    sparse = make_expansion(3, {(50, 0, 0): 1.0, (0, 50, 0): 1.0, (0, 0, 50): 1.0})
+    for r in (sparse, sparse + constant(3), wick_product(sparse, sparse), pointwise_product(sparse, sparse)):
+        _assert_canonical(r)
+
+
+def _union_by_unique(x, y):
+    """The np.unique(axis=0) alignment _union replaced, kept as its oracle."""
+    stacked = np.concatenate([x.exponents, y.exponents])
+    exps, inverse = np.unique(stacked, axis=0, return_inverse=True)
+    a = np.zeros(exps.shape[0])
+    b = np.zeros(exps.shape[0])
+    a[inverse[: x.n_terms]] = x.coeffs
+    b[inverse[x.n_terms :]] = y.coeffs
+    return exps, a, b
+
+
+def test_union_matches_unique_oracle():
+    rng = np.random.default_rng(13)
+
+    def draw(dim, support):
+        picks = rng.choice(len(support), size=min(7, len(support)), replace=False)
+        return make_expansion(dim, {support[i]: float(rng.uniform(-1, 1)) for i in picks.tolist()})
+
+    cases = []
+    for dim in (1, 2, 3):
+        pool = [a for k in range(6) for a in multi_indexes_of_degree(dim, k)]
+        even = [a for a in pool if sum(a) % 2 == 0]
+        odd = [a for a in pool if sum(a) % 2 == 1]
+        x, empty = draw(dim, pool), make_expansion(dim, [])
+        cases += [(x, draw(dim, pool)), (x, x), (draw(dim, even), draw(dim, odd))]
+        cases += [(x, empty), (empty, x), (empty, empty)]
+    # exponents up to 2**40 in dim 8: a mixed-radix code would overflow int64
+    big = [tuple(int(e) for e in row) for row in rng.integers(0, 2**40, size=(6, 8))]
+    big += [(2**40,) * 8, (0,) * 8]
+    x = make_expansion(8, {a: float(rng.uniform(-1, 1)) for a in big[:5]})
+    y = make_expansion(8, {a: float(rng.uniform(-1, 1)) for a in big[3:]})
+    cases += [(x, y), (y, x)]
+    for x, y in cases:
+        got, want = _union(x, y), _union_by_unique(x, y)
+        assert got[0].dtype == np.int64
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
