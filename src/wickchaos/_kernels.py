@@ -24,6 +24,9 @@ GRID_CELL_CAP = 1 << 26
 # keep the loop.
 _DENSE_FACTOR = 8
 
+# Hermite table cells per eval_batch chunk.
+EVAL_CHUNK_CELLS = 1 << 20
+
 
 def _grid(exp_x, exp_y):
     """Mixed-radix layout of the sumset grid for a pair of term tables."""
@@ -47,9 +50,9 @@ def _extract(acc, radix):
     vals = acc[codes]
     exps = np.empty((codes.shape[0], radix.shape[0]), dtype=np.int64)
     rem = codes
-    for i in range(radix.shape[0] - 1, -1, -1):
-        exps[:, i] = rem % radix[i]
-        rem = rem // radix[i]
+    for i in range(radix.shape[0] - 1, 0, -1):
+        rem, exps[:, i] = np.divmod(rem, radix[i])
+    exps[:, 0] = rem  # codes < cells, so what remains is below radix[0]
     return exps, vals
 
 
@@ -176,26 +179,27 @@ def eval_batch(exp_t, coefs, pts, normalized=False):
     kcap = max(kmax)
     sqrts = np.sqrt(np.arange(kcap + 2, dtype=np.float64)).tolist()
     rows = exp_t.tolist()
-    chunk = max(1, (1 << 22) // ((kcap + 1) * d))
+    chunk = max(1, EVAL_CHUNK_CELLS // ((kcap + 1) * d))
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
         table = np.empty((d, kcap + 1, hi - lo))
+        tmp = np.empty(hi - lo)
         for i in range(d):
             x = pts[lo:hi, i]
-            table[i, 0] = 1.0
+            he = table[i]
+            he[0] = 1.0
             if kmax[i] >= 1:
-                table[i, 1] = x
-            if normalized:
-                for k in range(1, kmax[i]):
-                    table[i, k + 1] = (x * table[i, k] - sqrts[k] * table[i, k - 1]) / sqrts[k + 1]
-            else:
-                for k in range(1, kmax[i]):
-                    table[i, k + 1] = x * table[i, k] - k * table[i, k - 1]
-        v = np.zeros(hi - lo)
+                he[1] = x
+            for k in range(1, kmax[i]):
+                np.multiply(x, he[k], out=he[k + 1])
+                np.multiply(sqrts[k] if normalized else k, he[k - 1], out=tmp)
+                np.subtract(he[k + 1], tmp, out=he[k + 1])
+                if normalized:
+                    np.divide(he[k + 1], sqrts[k + 1], out=he[k + 1])
+        v = out[lo:hi]
         for row, c in zip(rows, coefs.tolist()):
-            p = np.full(hi - lo, c)
-            for i, e in enumerate(row):
-                p = p * table[i, e]
-            v += p
-        out[lo:hi] = v
+            np.multiply(table[0, row[0]], c, out=tmp)
+            for i in range(1, d):
+                tmp *= table[i, row[i]]
+            v += tmp
     return out

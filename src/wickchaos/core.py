@@ -102,12 +102,13 @@ def _factorial_weighted(exponents, factors, power):
             nonzero &= f != 0.0
         direct = w * product
         bad = ~np.isfinite(direct) | ((direct == 0.0) & nonzero)
-        if np.any(bad):
+        if bad.any():
             log_abs = power * gammaln(exponents[bad] + 1.0).sum(axis=1)
             sign = 1.0
             for f in factors:
-                log_abs = log_abs + np.log(np.abs(f[bad]))
-                sign = sign * np.sign(f[bad])
+                f = f[bad]
+                log_abs = log_abs + np.log(np.abs(f))
+                sign = sign * np.sign(f)
             direct[bad] = sign * np.exp(log_abs)
     return direct
 
@@ -119,9 +120,10 @@ _EXP_TAIL_MAX_TERMS = 100000
 
 def _power_tables(h: np.ndarray, degree: int) -> np.ndarray:
     """tables[i, e] = h_i^e / e! for e = 0..degree, by the forward product of h_i / e."""
-    ratios = np.ones((h.shape[0], degree + 1))
-    ratios[:, 1:] = h[:, None] / np.arange(1.0, degree + 1.0)
-    return np.cumprod(ratios, axis=1)
+    ratios = np.empty((h.shape[0], degree + 1))
+    ratios[:, 0] = 1.0
+    np.divide(h[:, None], np.arange(1.0, degree + 1.0), out=ratios[:, 1:])
+    return np.multiply.accumulate(ratios, axis=1, out=ratios)
 
 
 def _exp_series(hsq: float, degree: int):
@@ -129,22 +131,25 @@ def _exp_series(hsq: float, degree: int):
 
     Both follow the forward recurrence term_k = term_{k-1} * (hsq / k); the
     tail adds terms (all positive) until one is 0 or below 1e-18 of the sum.
+    Raises ValueError when the tail is not finite in float64.
     """
     ratios = np.empty(degree + 1)
     ratios[0] = 1.0
-    ratios[1:] = hsq / np.arange(1.0, degree + 1.0)
+    np.divide(hsq, np.arange(1.0, degree + 1.0), out=ratios[1:])
     with np.errstate(over="ignore"):
-        terms = np.cumprod(ratios)
+        terms = np.multiply.accumulate(ratios, out=ratios)
     term = float(terms[-1])
     tail = 0.0
     for k in range(degree + 1, degree + 1 + _EXP_TAIL_MAX_TERMS):
         term *= hsq / k
         tail += term
+        if not math.isfinite(tail):
+            break
         if term == 0.0 or term < tail * 1e-18:
             return terms, tail
     raise ValueError(
-        f"exponential-series tail past degree {degree} does not converge within "
-        f"{_EXP_TAIL_MAX_TERMS} terms for |h|^2 = {hsq!r}"
+        f"exponential-series tail past degree {degree} does not converge in float64 "
+        f"for |h|^2 = {hsq!r}"
     )
 
 

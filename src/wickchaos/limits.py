@@ -21,6 +21,7 @@ import operator
 import warnings
 from dataclasses import dataclass
 from functools import reduce
+from itertools import accumulate
 
 import numpy as np
 from scipy.special import binom
@@ -107,10 +108,11 @@ def rescaled_wick_power(x: ChaosExpansion, n: int) -> ChaosExpansion:
     return _normalized_power(x, n)[1]
 
 
-def _l2_distance_to_exponential(x: ChaosExpansion, h: np.ndarray, support_degree: int) -> float:
-    """Exact ||X - E(h)||, with E(h) carrying h^alpha / alpha! at every alpha.
+def _l2_distance_to_exponential(parts) -> list[float]:
+    """Exact ||X - E(h)|| for each (X, h, support_degree) in parts, all X of one dim.
 
-    With D = max(support_degree, x.max_degree) the squared distance is
+    E(h) carries h^alpha / alpha! at every alpha. With D = max(support_degree,
+    X.max_degree) the squared distance is
       sum over stored alpha of alpha! (x_alpha - t_alpha)^2
         (t_alpha = h^alpha / alpha!, which is 0 off supp h),
       + per degree k <= D, the target mass at unstored alpha: by the
@@ -118,30 +120,54 @@ def _l2_distance_to_exponential(x: ChaosExpansion, h: np.ndarray, support_degree
         this is |h|^(2k) / k! minus the stored part, exactly 0 where every
         alpha of degree k over supp h is stored,
       + the closed-form tail sum_{k > D} |h|^(2k) / k!.
+    The parts' rows are concatenated, so the number of numpy calls does not grow
+    with len(parts) except for each part's series and its two slice sums; every
+    value is the one a single-part call gives, bit for bit.
     """
-    top = x.max_degree
-    degree = max(int(support_degree), top)
-    exps = x.exponents
-    # t is 0 on rows using a coordinate outside supp h
-    t = _power_tables(h, top)[np.arange(x.dim), exps].prod(axis=1)
-    both = np.concatenate((x.coeffs - t, t))
+    xs = [x for x, _, _ in parts]
+    dim = xs[0].dim
+    h = np.array([hv for _, hv, _ in parts], dtype=np.float64)
+    part = np.arange(len(parts)).repeat([x.n_terms for x in xs])
+    exps = np.concatenate([x.exponents for x in xs])
+    # a prefix of a longer cumprod is the shorter table bit for bit; the table
+    # entries are NaN at h_i = 0 for e >= 1, which marks the rows using a
+    # coordinate outside supp h, where t is 0
+    marked = np.where(h == 0.0, np.nan, h).reshape(-1)
+    tables = _power_tables(marked, max(x.max_degree for x in xs)).reshape(len(parts), dim, -1)
+    t = tables[part[:, None], np.arange(dim), exps].prod(axis=1)
+    on_support = ~np.isnan(t)
+    t[~on_support] = 0.0
+    both = np.concatenate((np.concatenate([x.coeffs for x in xs]) - t, t))
     weighted = _factorial_weighted(np.concatenate((exps, exps)), (both, both), 1)
-    diff_sq, target_sq = weighted[: x.n_terms], weighted[x.n_terms :]
+    diff_sq, target_sq = weighted[: exps.shape[0]], weighted[exps.shape[0] :]
 
-    masses, tail = _exp_series(float(h @ h), degree)
-    on_support = exps @ (h == 0.0) == 0
-    stored = np.bincount(x.degrees, weights=target_sq, minlength=top + 1)
-    counts = np.bincount(x.degrees[on_support], minlength=top + 1)
-    k = np.arange(top + 1)
+    # every part's series terms, degree k of part p at masses[starts[p] + k]
+    series = [_exp_series(float(hv @ hv), max(int(d), x.max_degree)) for x, hv, d in parts]
+    masses = np.concatenate([terms for terms, _ in series])
+    lengths = [terms.shape[0] for terms, _ in series]
+    starts = np.array(list(accumulate(lengths[:-1], initial=0)))
+    slots = starts[part] + np.concatenate([x.degrees for x in xs])
+    stored = np.bincount(slots, weights=target_sq, minlength=masses.shape[0])
+    counts = np.bincount(slots[on_support], minlength=masses.shape[0])
     # C(k + s - 1, k) multi-indexes of degree k over s = |supp h| coordinates
     # (exact in float64 wherever it is small enough to equal a term count);
     # h = 0 counts as s = 1, which is right at degree 0 and harmless above,
     # where its masses are 0
-    s = max(np.count_nonzero(h), 1)
-    complete = counts == np.rint(binom(k + s - 1, k))
-    # masses becomes the unstored mass; nothing is stored above degree top
-    masses[: top + 1] = np.where(complete, 0.0, np.maximum(masses[: top + 1] - stored, 0.0))
-    return math.sqrt(float(diff_sq.sum()) + float(masses.sum()) + tail)
+    k = np.arange(masses.shape[0]) - starts.repeat(lengths)
+    s_minus_1 = np.array([max(np.count_nonzero(hv), 1) - 1 for _, hv, _ in parts]).repeat(lengths)
+    complete = counts == np.rint(binom(k + s_minus_1, k))
+    # masses becomes the unstored mass; above a part's top degree nothing is
+    # stored and no degree is complete, so its masses stay as they are
+    masses = np.where(complete, 0.0, np.maximum(masses - stored, 0.0))
+    # one pairwise .sum() per slice, as for a single part (np.add.reduceat
+    # sums sequentially and changes bits)
+    out = []
+    r0 = m0 = 0
+    for x, (_, tail), length in zip(xs, series, lengths):
+        r1, m1 = r0 + x.n_terms, m0 + length
+        out.append(math.sqrt(float(diff_sq[r0:r1].sum()) + float(masses[m0:m1].sum()) + tail))
+        r0, m0 = r1, m1
+    return out
 
 
 def convergence_error(x: ChaosExpansion, n: int) -> float:
@@ -153,17 +179,7 @@ def convergence_error(x: ChaosExpansion, n: int) -> float:
     """
     xn, r = _normalized_power(x, n)
     h1 = first_order_kernel(xn)
-    return _l2_distance_to_exponential(r, h1, n * x.max_degree)
-
-
-def _gamma_tail_norm_sq(x: ChaosExpansion, lam: float) -> float:
-    """sum over |alpha| >= 1 of lam^(2|alpha|) alpha! c_alpha^2 (no cancellation)."""
-    sel = x.degrees >= 1
-    if not np.any(sel):
-        return 0.0
-    terms = _factorial_weighted(x.exponents[sel], (x.coeffs[sel], x.coeffs[sel]), 1)
-    scale = np.power(lam * lam, x.degrees[sel].astype(np.float64))
-    return float(np.sum(terms * scale))
+    return _l2_distance_to_exponential([(r, h1, n * x.max_degree)])[0]
 
 
 @dataclass(frozen=True)
@@ -191,32 +207,54 @@ def proof_bound_factors(x: ChaosExpansion, n: int) -> BoundFactors:
     if n < 2:
         raise ValueError("the certificate is defined for n >= 2")
     xn = _normalized(x)
-    return _bound_factors(xn, first_order_kernel(xn), n)
+    return _bound_factors(xn, first_order_kernel(xn), [n])[0]
 
 
-def _bound_factors(xn: ChaosExpansion, h1: np.ndarray, n: int) -> BoundFactors:
+def _exp_or_inf(f, value: float) -> float:
+    try:
+        return f(value)
+    except OverflowError:
+        return math.inf
+
+
+def _bound_factors(xn: ChaosExpansion, h1: np.ndarray, ns) -> list[BoundFactors]:
+    """The certificate's factors at every n in ns (all >= 2).
+
+    Raises ValueError naming the first factor that is not finite in float64.
+    """
     hsq = float(h1 @ h1)
-    lam2 = math.sqrt(2.0) / n
-    middle = _l2_distance_to_exponential(gamma(lam2, xn), lam2 * h1, xn.max_degree)
-    lam1 = math.sqrt(2.0 * (n - 1)) / n
-    b = _gamma_tail_norm_sq(xn, lam1)
-    a = math.sqrt(1.0 + b)
-    if b == 0.0:
-        a_pow = 1.0
-        geom = float(n)
-    else:
-        log_a_pow = 0.5 * n * math.log1p(b)
-        a_pow = math.exp(log_a_pow)
-        geom = math.expm1(log_a_pow) * (1.0 + a) / b
-    prefactor = math.exp(hsq)
-    return BoundFactors(
-        prefactor=prefactor,
-        middle=middle,
-        gamma_norm=a,
-        gamma_norm_pow=a_pow,
-        geometric_sum=geom,
-        bound=prefactor * middle * geom,
-    )
+    prefactor = _exp_or_inf(math.exp, hsq)
+    lam2s = [math.sqrt(2.0) / n for n in ns]
+    middles = _l2_distance_to_exponential([(gamma(lam, xn), lam * h1, xn.max_degree) for lam in lam2s])
+    # b(lam) = sum over |alpha| >= 1 of lam^(2|alpha|) alpha! c_alpha^2 (no cancellation)
+    sel = xn.degrees >= 1
+    weights = _factorial_weighted(xn.exponents[sel], (xn.coeffs[sel], xn.coeffs[sel]), 1)
+    degrees = xn.degrees[sel].astype(np.float64)
+    out = []
+    for n, middle in zip(ns, middles):
+        lam1 = math.sqrt(2.0 * (n - 1)) / n
+        b = float(np.sum(weights * np.power(lam1 * lam1, degrees)))
+        a = math.sqrt(1.0 + b)
+        if b == 0.0:
+            a_pow = 1.0
+            geom = float(n)
+        else:
+            log_a_pow = 0.5 * n * math.log1p(b)
+            a_pow = _exp_or_inf(math.exp, log_a_pow)
+            geom = _exp_or_inf(math.expm1, log_a_pow) * (1.0 + a) / b
+        factors = BoundFactors(
+            prefactor=prefactor,
+            middle=middle,
+            gamma_norm=a,
+            gamma_norm_pow=a_pow,
+            geometric_sum=geom,
+            bound=prefactor * middle * geom,
+        )
+        for name, value in vars(factors).items():
+            if not math.isfinite(value):
+                raise ValueError(f"certificate {name} at n = {n} is not finite in float64")
+        out.append(factors)
+    return out
 
 
 def proof_bound(x: ChaosExpansion, n: int) -> float:
@@ -290,9 +328,10 @@ def convergence_report(x: ChaosExpansion, ns=None, n_max: int = 512) -> Converge
     if ns:
         xn = _normalized(x)
         h1 = first_order_kernel(xn)
-        for n, r in zip(ns, _rescaled_powers(xn, ns)):
-            err = _l2_distance_to_exponential(r, h1, n * x.max_degree)
-            factors = _bound_factors(xn, h1, n)
+        errors = _l2_distance_to_exponential(
+            [(r, h1, n * x.max_degree) for n, r in zip(ns, _rescaled_powers(xn, ns))]
+        )
+        for n, err, factors in zip(ns, errors, _bound_factors(xn, h1, ns)):
             entries.append(ConvergenceEntry(n, err, factors.bound, factors.gamma_norm))
     rate = _fit_rate([e.n for e in entries], [e.error for e in entries])
     return ConvergenceReport(entries=tuple(entries), fitted_rate=rate, input_hash=expansion_hash(x))

@@ -86,6 +86,15 @@ def test_converge_zero_mean_exits_2(tmp_path, capsys):
     assert "min_chaos_order" in err
 
 
+@pytest.mark.parametrize("h", [30.0, 25.0])
+def test_converge_out_of_float64_range_exits_2(h, tmp_path, capsys):
+    # exp(h^2) overflows float64 at h = 30; at h = 25 the certificate does
+    path = _write_expansion(tmp_path / "big.json", [1.0, h])
+    assert main(["converge", "--expansion", path, "--n-max", "8", "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_dist_rerun_is_byte_identical(tmp_path, capsys):
     args = ["dist", "--n", "16", "--samples", "2000", "--seed", "5"]
     a_json, a_csv = tmp_path / "a.json", tmp_path / "a.csv"

@@ -325,6 +325,16 @@ def test_exp_series_tail_raises_instead_of_truncating():
         exp_vector([1e3], 0)
 
 
+def test_exp_series_raises_when_the_tail_overflows():
+    # e^900 is out of float64 range: the running tail overflows to inf while
+    # the terms are still finite, and an infinite tail must not pass the
+    # stopping rule term < tail * 1e-18
+    with pytest.raises(ValueError, match="does not converge"):
+        _exp_series(900.0, 2)
+    with pytest.raises(ValueError, match="does not converge"):
+        exp_vector([30.0], 2)
+
+
 def test_exp_vector_total_l2_norm_value():
     # |h| = 1: truncation plus tail carries the full mass e, norm sqrt(e)
     res = exp_vector([1.0], 40)

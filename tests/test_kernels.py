@@ -1,6 +1,7 @@
 """Kernels: graded convolution and Hu-Meyer products against their definitions, grids, pruning."""
 
 import itertools
+import math
 
 import numpy as np
 import numpy.polynomial.polynomial as P
@@ -165,3 +166,41 @@ def test_exact_zero_coefficients_are_pruned():
     exps, vals = _kernels.convolve_terms(zero, tiny, zero, tiny)
     assert exps.tolist() == [[0]] and vals.tolist() == [1e-160 * 1e-160]
     assert wick_product(univariate([1e-160]), univariate([1e-160])).n_terms == 0
+
+
+def _reference_eval(exp_t, coefs, pts, normalized):
+    """Per point, per term c * prod_i He_{e_i}(x_i) from the scalar recurrence,
+    summed in table order: the float operations eval_batch promises."""
+    out = []
+    for x in pts.tolist():
+        v = 0.0
+        for row, c in zip(exp_t.tolist(), coefs.tolist()):
+            p = c
+            for xi, e in zip(x, row):
+                prev, cur = 1.0, xi
+                for k in range(1, e):
+                    if normalized:
+                        prev, cur = cur, (xi * cur - math.sqrt(k) * prev) / math.sqrt(k + 1)
+                    else:
+                        prev, cur = cur, xi * cur - k * prev
+                p = p * (1.0 if e == 0 else cur)
+            v += p
+        out.append(v)
+    return np.array(out)
+
+
+def test_eval_batch_is_the_scalar_recurrence_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(23)
+    for exp_t, normalized in (
+        (np.array([[0, 0], [1, 0], [0, 2], [3, 1]]), False),
+        (np.array([[0, 0, 0], [2, 0, 1], [0, 4, 0], [1, 1, 1]]), False),
+        (np.array([[0], [1], [35], [40]]), True),
+    ):
+        coefs = rng.uniform(-1, 1, exp_t.shape[0])
+        pts = rng.standard_normal((300, exp_t.shape[1]))
+        expected = _reference_eval(exp_t, coefs, pts, normalized)
+        assert np.array_equal(_kernels.eval_batch(exp_t, coefs, pts, normalized), expected)
+        # many small chunks, the last one partial: same bits
+        with monkeypatch.context() as m:
+            m.setattr(_kernels, "EVAL_CHUNK_CELLS", 7 * 41 * exp_t.shape[1])
+            assert np.array_equal(_kernels.eval_batch(exp_t, coefs, pts, normalized), expected)

@@ -28,7 +28,7 @@ from wickchaos import (
     wick_power,
     write_convergence_csv,
 )
-from wickchaos import _kernels
+from wickchaos import _kernels, limits
 from wickchaos.limits import _l2_distance_to_exponential
 
 X11 = univariate([1.0, 1.0])  # 1 + He1
@@ -266,7 +266,7 @@ def test_distance_to_exponential_matches_enumeration():
                 h[:] = 0.0
             for support_degree in (0, 3, 12):
                 expected = _enumerating_distance(x, h, support_degree)
-                got = _l2_distance_to_exponential(x, h, support_degree)
+                got = _l2_distance_to_exponential([(x, h, support_degree)])[0]
                 worst = max(worst, abs(got - expected) / expected)
     # rescaled powers with n * deg > 170: factorials overflow, log-space weights
     for x, n in (
@@ -280,7 +280,7 @@ def test_distance_to_exponential_matches_enumeration():
         degree = n * x.max_degree
         assert degree > 170
         expected = _enumerating_distance(r, h, degree)
-        got = _l2_distance_to_exponential(r, h, degree)
+        got = _l2_distance_to_exponential([(r, h, degree)])[0]
         assert got == convergence_error(x, n)
         worst = max(worst, abs(got - expected) / expected)
     assert worst <= 1e-13
@@ -360,6 +360,21 @@ def test_bound_dominates_error_randomized():
         x = make_expansion(dim, entries)
         for n in (2, 4, 8, 16):
             assert convergence_error(x, n) <= proof_bound(x, n) * (1 + 1e-8)
+
+
+def test_out_of_float64_range_raises():
+    # |h1|^2 = 900: exp(|h1|^2) is out of float64 range, so are the error's
+    # series tail and the certificate's prefactor
+    x = univariate([1.0, 30.0])
+    with pytest.raises(ValueError, match="does not converge"):
+        convergence_error(x, 2)
+    with pytest.raises(ValueError, match="prefactor at n = 2 is not finite in float64"):
+        proof_bound(x, 2)
+    # |h1|^2 = 625: every factor is finite, their product is not
+    y = univariate([1.0, 25.0])
+    assert math.isfinite(convergence_error(y, 2))
+    with pytest.raises(ValueError, match="bound at n = 2 is not finite in float64"):
+        proof_bound(y, 2)
 
 
 def test_proof_bound_requires_n_at_least_two():
@@ -446,6 +461,50 @@ def test_convergence_report_entries_match_standalone():
                 assert e.error == convergence_error(x, e.n)
                 assert e.bound == factors.bound == proof_bound(x, e.n)
                 assert e.norm_gamma == factors.gamma_norm
+
+
+def test_convergence_report_entries_match_one_element_schedules():
+    # each entry of a batched report is bit for bit the entry of a schedule
+    # holding its n alone, whatever the rest of the schedule is
+    x2 = make_expansion(2, [((0, 0), 1.1), ((1, 0), -0.4), ((0, 1), 0.3), ((2, 1), 0.05)])
+    x3 = make_expansion(3, [((0, 0, 0), -0.8), ((1, 0, 0), 0.2), ((0, 0, 1), 0.35), ((0, 1, 1), -0.1)])
+    pruned = make_expansion(1, {(0,): 1.0, (1,): 0.5, (40,): 1e-250})
+    for x, ns in (
+        (X11, [2, 4, 8, 16, 32, 64]),
+        (univariate([0.9, -0.5, 0.3, 0.1]), [3, 5, 6, 7, 12, 24]),
+        (univariate([1.0, -0.6, 0.3]), [100, 2, 100, 7]),  # n * deg > 170: log-space weights
+        (constant(1, 2.0), [4, 2]),  # errors and bounds 0, fitted rate NaN
+        (x2, [12, 2, 7, 3, 7]),
+        (x3, [5, 2, 4]),
+        (pruned, [2, 8, 64, 3]),
+    ):
+        report = convergence_report(x, ns=ns)
+        assert [e.n for e in report.entries] == ns
+        for e in report.entries:
+            (single,) = convergence_report(x, ns=[e.n]).entries
+            assert repr(e) == repr(single)
+    # the middle factor's Gamma(sqrt(2)/n) prunes the He_40 term at n = 64 only
+    xn = pruned / pruned.mean()
+    assert [gamma(math.sqrt(2.0) / n, xn).n_terms for n in (2, 8, 64, 3)] == [3, 3, 2, 3]
+
+
+def test_convergence_report_weighs_once_per_schedule(monkeypatch):
+    # the factorial weights are taken once per batch of distances and once for
+    # the certificate's gamma norms, not once per n
+    calls = []
+    weighted = limits._factorial_weighted
+
+    def spy(*args):
+        calls.append(args)
+        return weighted(*args)
+
+    monkeypatch.setattr(limits, "_factorial_weighted", spy)
+    counts = []
+    for n_max in (8, 1024):
+        calls.clear()
+        convergence_report(univariate([0.9, -0.5, 0.3]), n_max=n_max)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_convergence_report_shares_one_chain(monkeypatch):
