@@ -28,13 +28,7 @@ from .core import (
     to_json_dict,
     univariate,
 )
-from .algebra import (
-    pointwise_product,
-    s_transform_eval,
-    wick_bound_check,
-    wick_power,
-    wick_product,
-)
+from .algebra import pointwise_product, s_transform_eval, wick_bound_check, wick_power, wick_product
 from .sampling import (
     GENERATOR_NAME,
     HERMITE_DEGREE_CAP,

@@ -19,10 +19,13 @@ import numpy as np
 GRID_CELL_CAP = 1 << 26
 
 # np.convolve over the dense code ranges 0..max code does span_x * span_y
-# multiply-adds in C, against nx * ny in the per-term loop; it is used while
+# multiply-adds in C, against nx * ny in the scatter-add; it is used while
 # the ranges are within this factor of dense. Sparse inputs such as 1 + He_500
-# keep the loop.
+# keep the scatter-add.
 _DENSE_FACTOR = 8
+
+# Term pairs per np.add.at call of the sparse branch (about 1.5 MB of temporaries).
+_SCATTER_PAIRS = 1 << 16
 
 # Hermite table cells per eval_batch chunk.
 EVAL_CHUNK_CELLS = 1 << 20
@@ -73,8 +76,11 @@ def _convolve_acc(code_x, cx, code_y, cy, acc):
         dense_y = np.bincount(code_y, weights=cy, minlength=span_y)
         acc[: span_x + span_y - 1] += np.convolve(dense_x, dense_y)
     else:
-        for t in range(code_x.shape[0]):
-            acc[code_x[t] + code_y] += cx[t] * cy
+        # unbuffered, so every product lands in (x row, y row) order
+        step = max(1, _SCATTER_PAIRS // code_y.shape[0])
+        for lo in range(0, code_x.shape[0], step):
+            pairs = code_x[lo : lo + step, None] + code_y
+            np.add.at(acc, pairs.ravel(), np.multiply.outer(cx[lo : lo + step], cy).ravel())
 
 
 # ---------------------------------------------------------------------------

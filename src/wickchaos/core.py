@@ -297,15 +297,19 @@ def _union(x: ChaosExpansion, y: ChaosExpansion):
     return exps, a, b
 
 
+def _check_dim(dim) -> int:
+    if not isinstance(dim, (int, np.integer)) or dim < 1:
+        raise ValueError(f"dim must be a positive integer, got {dim!r}")
+    return int(dim)
+
+
 def make_expansion(dim: int, entries) -> ChaosExpansion:
     """Validated constructor from (multi-index, coefficient) pairs or a dict.
 
     Rejects length mismatches, negative/non-integer exponents, duplicate
     multi-indexes and non-finite coefficients.
     """
-    if not isinstance(dim, (int, np.integer)) or dim < 1:
-        raise ValueError(f"dim must be a positive integer, got {dim!r}")
-    dim = int(dim)
+    dim = _check_dim(dim)
     if isinstance(entries, dict):
         entries = entries.items()
     seen = set()
@@ -339,7 +343,8 @@ def univariate(coeffs) -> ChaosExpansion:
 
 def constant(dim: int, value: float = 1.0) -> ChaosExpansion:
     """The constant random variable `value` in dimension dim."""
-    return make_expansion(dim, [((0,) * dim, value)])
+    dim = _check_dim(dim)
+    return ChaosExpansion._from_arrays(dim, np.zeros((1, dim), dtype=np.int64), [float(value)])
 
 
 def l2_norm_sq(x: ChaosExpansion) -> float:

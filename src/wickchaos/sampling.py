@@ -49,25 +49,27 @@ KS_COEFF_5PCT = 1.358
 
 
 def hermite_eval(k: int, x: float) -> float:
-    """Probabilists' Hermite polynomial He_k(x), by evaluating the one-term expansion He_k."""
+    """Probabilists' Hermite polynomial He_k(x), as the one-term table He_k at one point."""
     k = int(k)
     if k < 0:
         raise ValueError("degree must be non-negative")
-    he_k = ChaosExpansion(1, np.array([[k]]), np.ones(1), np.array([k]), _trusted=True)
-    return evaluate(he_k, [x])
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError("non-finite evaluation point")
+    return float(_evaluate_points(np.array([[k]]), np.ones(1), k, np.array([[x]]))[0])
 
 
-def _evaluate_points(x: ChaosExpansion, pts: np.ndarray) -> np.ndarray:
-    """X at each row of pts; raises ValueError when a value is not finite."""
-    if x.max_degree > HERMITE_DEGREE_CAP:
-        raise ValueError(f"expansion degree {x.max_degree} exceeds cap {HERMITE_DEGREE_CAP}")
-    normalized = x.max_degree > NORMALIZED_RECURRENCE_DEGREE
+def _evaluate_points(exponents, coeffs, max_degree, pts):
+    """The term table at each row of pts; raises ValueError when a value is not finite."""
+    if max_degree > HERMITE_DEGREE_CAP:
+        raise ValueError(f"expansion degree {max_degree} exceeds cap {HERMITE_DEGREE_CAP}")
+    normalized = max_degree > NORMALIZED_RECURRENCE_DEGREE
     # the normalized recurrence takes coefficients against the orthonormal
     # basis, c_alpha * sqrt(alpha!)
-    coefs = _factorial_weighted(x.exponents, (x.coeffs,), 0.5) if normalized else x.coeffs
-    values = _kernels.eval_batch(x.exponents, coefs, pts, normalized)
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"a value of a degree-{x.max_degree} expansion is not finite in float64")
+    coefs = _factorial_weighted(exponents, (coeffs,), 0.5) if normalized else coeffs
+    values = _kernels.eval_batch(exponents, coefs, pts, normalized)
+    if not np.isfinite(values).all():
+        raise ValueError(f"a value of a degree-{max_degree} expansion is not finite in float64")
     return values
 
 
@@ -88,7 +90,7 @@ def evaluate(x: ChaosExpansion, xi) -> float:
     the value is not finite in float64.
     """
     xi = _check_point(x, xi)
-    return float(_evaluate_points(x, xi.reshape(1, -1))[0])
+    return float(_evaluate_points(x.exponents, x.coeffs, x.max_degree, xi.reshape(1, -1))[0])
 
 
 @dataclass(frozen=True)
@@ -109,7 +111,7 @@ def sample_batch(x: ChaosExpansion, n_samples: int, seed: int) -> SampleBatch:
         raise ValueError("n_samples must be positive")
     rng = np.random.default_rng(seed)
     pts = rng.standard_normal((n_samples, x.dim))
-    values = _evaluate_points(x, pts)
+    values = _evaluate_points(x.exponents, x.coeffs, x.max_degree, pts)
     values.setflags(write=False)
     return SampleBatch(
         values=values, seed=int(seed), size=n_samples, expansion_hash=expansion_hash(x)
@@ -148,7 +150,7 @@ def ou_apply_mc(x: ChaosExpansion, t: float, xi, n_draws: int, seed: int) -> OuE
     zeta = rng.standard_normal((n_draws, x.dim))
     decay = math.exp(-t)
     spread = math.sqrt(-math.expm1(-2.0 * t))  # sqrt(1 - e^-2t)
-    vals = _evaluate_points(x, decay * xi + spread * zeta)
+    vals = _evaluate_points(x.exponents, x.coeffs, x.max_degree, decay * xi + spread * zeta)
     value = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(n_draws)) if n_draws > 1 else 0.0
     return OuEstimate(value=value, std_error=se, n_draws=n_draws)

@@ -9,6 +9,7 @@ function of (seed, case count, tolerances).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,30 +40,41 @@ class SuiteResult:
     passed: bool
 
 
-def random_expansion(
-    rng,
-    dim=None,
-    max_degree: int = 4,
-    max_terms: int = 6,
-    min_degree: int = 0,
-    with_mean: bool = False,
-) -> ChaosExpansion:
+@functools.lru_cache(maxsize=64)
+def _index_pool(dim, min_degree, max_degree):
+    """Every multi-index of degree min_degree..max_degree, in (degree, lex) order; read-only."""
+    pool = [a for k in range(min_degree, max_degree + 1) for a in multi_indexes_of_degree(dim, k)]
+    pool = np.array(pool, dtype=np.int64).reshape(-1, dim)
+    pool.setflags(write=False)
+    return pool
+
+
+def random_expansion(rng, dim=None, max_degree=4, max_terms=6, min_degree=0, with_mean=False):
     """Sparse random expansion with coefficients U[-1, 1]."""
-    if dim is None:
-        dim = int(rng.integers(1, 4))
-    pool = [
-        alpha
-        for k in range(min_degree, max_degree + 1)
-        for alpha in multi_indexes_of_degree(dim, k)
-    ]
+    dim = int(rng.integers(1, 4)) if dim is None else int(dim)
+    if dim < 1 or min_degree < 0:
+        raise ValueError(f"need dim >= 1 and min_degree >= 0, got dim={dim}, min_degree={min_degree}")
+    pool = _index_pool(dim, int(min_degree), int(max_degree))
     count = int(rng.integers(1, max_terms + 1))
     picks = rng.choice(len(pool), size=min(count, len(pool)), replace=False)
-    entries = {pool[int(i)]: float(rng.uniform(-1.0, 1.0)) for i in picks}
+    vals = rng.uniform(-1.0, 1.0, size=picks.shape[0])
+    # ascending picks of the canonical pool are canonical rows
+    order = picks.argsort()
+    exps, coeffs = pool[picks[order]], vals[order]
     if with_mean:
-        zero = (0,) * dim
         mean = float(rng.uniform(0.2, 1.0)) * (1.0 if rng.uniform() < 0.5 else -1.0)
-        entries[zero] = mean
-    return make_expansion(dim, entries)
+        if coeffs.shape[0] and not exps[0].any():
+            coeffs[0] = mean
+        else:
+            exps = np.concatenate([np.zeros((1, dim), dtype=np.int64), exps])
+            coeffs = np.concatenate([[mean], coeffs])
+    return ChaosExpansion._from_arrays(dim, exps, coeffs)
+
+
+def _same_dim(rng, count):
+    """count random expansions over one random dim in 1..3."""
+    dim = int(rng.integers(1, 4))
+    return [random_expansion(rng, dim=dim) for _ in range(count)]
 
 
 def _lam(rng) -> float:
@@ -81,9 +93,7 @@ def _suite_gamma_composition(rng, cases):
 def _suite_gamma_wick_homomorphism(rng, cases):
     worst = 0.0
     for _ in range(cases):
-        dim = int(rng.integers(1, 4))
-        x = random_expansion(rng, dim=dim)
-        y = random_expansion(rng, dim=dim)
+        x, y = _same_dim(rng, 2)
         lam = _lam(rng)
         worst = max(
             worst,
@@ -153,9 +163,7 @@ def _suite_telescoping(rng, cases):
 def _suite_wick_commutativity(rng, cases):
     worst = 0.0
     for _ in range(cases):
-        dim = int(rng.integers(1, 4))
-        x = random_expansion(rng, dim=dim)
-        y = random_expansion(rng, dim=dim)
+        x, y = _same_dim(rng, 2)
         worst = max(worst, max_coeff_deviation(wick_product(x, y), wick_product(y, x)))
     return worst
 
@@ -163,10 +171,7 @@ def _suite_wick_commutativity(rng, cases):
 def _suite_wick_associativity(rng, cases):
     worst = 0.0
     for _ in range(cases):
-        dim = int(rng.integers(1, 4))
-        x = random_expansion(rng, dim=dim)
-        y = random_expansion(rng, dim=dim)
-        z = random_expansion(rng, dim=dim)
+        x, y, z = _same_dim(rng, 3)
         worst = max(
             worst,
             max_coeff_deviation(
@@ -179,17 +184,14 @@ def _suite_wick_associativity(rng, cases):
 def _suite_wick_distributivity_unit(rng, cases):
     worst = 0.0
     for _ in range(cases):
-        dim = int(rng.integers(1, 4))
-        x = random_expansion(rng, dim=dim)
-        y = random_expansion(rng, dim=dim)
-        z = random_expansion(rng, dim=dim)
+        x, y, z = _same_dim(rng, 3)
         worst = max(
             worst,
             max_coeff_deviation(
                 wick_product(x, y + z), wick_product(x, y) + wick_product(x, z)
             ),
         )
-        worst = max(worst, max_coeff_deviation(wick_product(x, constant(dim)), x))
+        worst = max(worst, max_coeff_deviation(wick_product(x, constant(x.dim)), x))
     return worst
 
 
@@ -223,9 +225,7 @@ def _suite_wick_norm_inequality(rng, cases):
 def _suite_contraction_free_term_is_wick(rng, cases):
     worst = 0.0
     for _ in range(cases):
-        dim = int(rng.integers(1, 4))
-        x = random_expansion(rng, dim=dim)
-        y = random_expansion(rng, dim=dim)
+        x, y = _same_dim(rng, 2)
         r0 = pointwise_product(x, y, max_contraction=0)
         if r0 != wick_product(x, y):
             worst = max(worst, max_coeff_deviation(r0, wick_product(x, y)))
@@ -247,10 +247,8 @@ def _suite_hermite_product_closed_forms(rng, cases):
 def _suite_s_transform_factorization(rng, cases):
     worst = 0.0
     for _ in range(cases):
-        dim = int(rng.integers(1, 4))
-        x = random_expansion(rng, dim=dim)
-        y = random_expansion(rng, dim=dim)
-        h = rng.uniform(-1.0, 1.0, size=dim)
+        x, y = _same_dim(rng, 2)
+        h = rng.uniform(-1.0, 1.0, size=x.dim)
         lhs = s_transform_eval(wick_product(x, y), h)
         rhs = s_transform_eval(x, h) * s_transform_eval(y, h)
         worst = max(worst, abs(lhs - rhs))

@@ -75,6 +75,38 @@ def test_convolve_dense_and_sparse_paths_match_definition(monkeypatch):
                 assert abs(value - total) <= 1e-14 * scale
 
 
+def _sparse_inputs(rng, nx, ny):
+    """Distinct, widely spread codes on each side whose sums collide across x rows."""
+    code_x = np.sort(rng.choice(400, size=nx, replace=False)) * 50
+    code_y = np.sort(rng.choice(400, size=ny, replace=False)) * 50
+    return code_x, rng.uniform(-1, 1, nx), code_y, rng.uniform(-1, 1, ny)
+
+
+def _per_term_loop(code_x, cx, code_y, cy, acc):
+    for t in range(code_x.shape[0]):
+        acc[code_x[t] + code_y] += cx[t] * cy
+
+
+def test_sparse_branch_is_the_per_term_loop_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(31)
+    monkeypatch.setattr(_kernels.np, "convolve", None)  # the dense branch must not run
+    default = _kernels._SCATTER_PAIRS
+    for nx, ny in ((1, 1), (3, 40), (40, 40), (97, 13)):
+        code_x, cx, code_y, cy = _sparse_inputs(rng, nx, ny)
+        sums = (code_x[:, None] + code_y).ravel()
+        assert np.unique(sums).shape[0] < sums.shape[0] or nx == 1
+        start = rng.uniform(-1, 1, 40000)  # a nonzero accumulator, as in the contraction layers
+        expected = start.copy()
+        _per_term_loop(code_x, cx, code_y, cy, expected)
+        # one chunk; chunks of two x rows, the last one partial; and one row
+        # per chunk when a row alone exceeds the chunk: the same bits
+        for pairs in (default, 2 * ny + 1, 1):
+            monkeypatch.setattr(_kernels, "_SCATTER_PAIRS", pairs)
+            acc = start.copy()
+            _kernels._convolve_acc(code_x, cx, code_y, cy, acc)
+            assert np.array_equal(acc, expected)
+
+
 def _odometer_hu_meyer(ex, cx, ey, cy, max_r):
     """Hu-Meyer product by walking, for each pair of terms, every contraction
     multi-index 0 <= r <= min(alpha, beta) in odometer order (last coordinate

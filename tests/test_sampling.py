@@ -77,6 +77,26 @@ def test_evaluation_raises_on_overflow():
             evaluation()
 
 
+def test_hermite_eval_is_evaluate_of_the_one_term_expansion():
+    for k in range(41):
+        he_k = make_expansion(1, {(k,): 1.0})
+        for x in (-3.1, -1.0, -0.25, 0.0, 0.7, 1.9, 4.4):
+            assert hermite_eval(k, x) == evaluate(he_k, [x])
+    # the same four errors, in the same order
+    with pytest.raises(ValueError, match="non-negative"):
+        hermite_eval(-1, math.nan)
+    for k, x, message in (
+        (3, math.nan, "non-finite evaluation point"),
+        (HERMITE_DEGREE_CAP + 1, math.inf, "non-finite evaluation point"),
+        (HERMITE_DEGREE_CAP + 1, 0.0, f"degree {HERMITE_DEGREE_CAP + 1} exceeds cap"),
+        (301, 0.5, "a value of a degree-301 expansion is not finite"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            hermite_eval(k, x)
+        with pytest.raises(ValueError, match=message):
+            evaluate(make_expansion(1, {(k,): 1.0}), [x])
+
+
 def test_hermite_variance_normalization():
     # sample variance of He_k over Gaussians approximates k!
     rng = np.random.default_rng(8)

@@ -1,7 +1,10 @@
 """The randomized identity suites behind the `verify` command."""
 
+import hashlib
+
 import pytest
 
+from wickchaos.core import make_expansion, multi_indexes_of_degree
 from wickchaos.verify import SUITE_NAMES, random_expansion, run_suite, run_suites
 
 import numpy as np
@@ -54,3 +57,76 @@ def test_random_expansion_respects_bounds():
         assert float(np.max(np.abs(x.coeffs))) <= 1.0
     z = random_expansion(rng, dim=2, min_degree=1)
     assert z.mean() == 0.0
+
+
+def _random_expansion_oracle(
+    rng, dim=None, max_degree=4, max_terms=6, min_degree=0, with_mean=False
+):
+    """The dict-plus-make_expansion form: a fresh pool, one scalar draw per pick."""
+    if dim is None:
+        dim = int(rng.integers(1, 4))
+    pool = [
+        alpha
+        for k in range(min_degree, max_degree + 1)
+        for alpha in multi_indexes_of_degree(dim, k)
+    ]
+    count = int(rng.integers(1, max_terms + 1))
+    picks = rng.choice(len(pool), size=min(count, len(pool)), replace=False)
+    entries = {pool[int(i)]: float(rng.uniform(-1.0, 1.0)) for i in picks}
+    if with_mean:
+        mean = float(rng.uniform(0.2, 1.0)) * (1.0 if rng.uniform() < 0.5 else -1.0)
+        entries[(0,) * dim] = mean
+    return make_expansion(dim, entries)
+
+
+_KEYWORD_CASES = (
+    {},
+    {"dim": 1},
+    {"dim": 2},
+    {"dim": 3},
+    {"max_degree": 2},
+    {"dim": 3, "max_degree": 4},
+    {"dim": 2, "max_degree": 2, "max_terms": 40},  # above the 6-index pool
+    {"dim": 1, "max_degree": 2, "max_terms": 9},
+    {"min_degree": 1},
+    {"with_mean": True},
+    {"dim": 1, "max_degree": 0, "with_mean": True},  # the pool is the zero index alone
+    {"with_mean": True, "min_degree": 1},
+    {"min_degree": 3, "max_degree": 2},  # empty pool
+    {"min_degree": 3, "max_degree": 2, "with_mean": True},
+)
+
+
+def test_random_expansion_matches_the_dict_oracle():
+    for seed in range(320):
+        rng = np.random.default_rng(seed)
+        ref = np.random.default_rng(seed)
+        for kwargs in _KEYWORD_CASES:
+            got = random_expansion(rng, **kwargs)
+            want = _random_expansion_oracle(ref, **kwargs)
+            assert got.dim == want.dim
+            assert np.array_equal(got.exponents, want.exponents)
+            assert np.array_equal(got.coeffs, want.coeffs)
+            assert np.array_equal(got.degrees, want.degrees)
+        # both consumed the generator alike
+        assert rng.bytes(16) == ref.bytes(16)
+
+
+def test_random_expansion_stream_is_pinned():
+    # any change to the draws, their order or the canonical rows changes the
+    # suite inputs, and with them every suite's worst deviation
+    rng = np.random.default_rng(2024)
+    digest = hashlib.sha256()
+    for _ in range(40):
+        for kwargs in _KEYWORD_CASES:
+            x = random_expansion(rng, **kwargs)
+            digest.update(np.int64(x.dim).tobytes())
+            digest.update(x.exponents.tobytes())
+            digest.update(x.coeffs.tobytes())
+    assert digest.hexdigest() == "f8db69d0486b5787df6652c77c22ba5c57a4f11cedbf34a29368ff8c8cdc9232"
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_random_expansion_rejects_bad_dim(dim):
+    with pytest.raises(ValueError, match="dim >= 1"):
+        random_expansion(np.random.default_rng(0), dim=dim)
