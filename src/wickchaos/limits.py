@@ -35,7 +35,7 @@ from .core import (
     first_order_kernel,
     gamma,
 )
-from .algebra import wick_power, wick_product
+from .algebra import wick_product
 from .sampling import ks_critical_value, ks_statistic, sample_batch
 
 __all__ = [
@@ -230,10 +230,11 @@ def _bound_factors(xn: ChaosExpansion, h1: np.ndarray, ns) -> list[BoundFactors]
     sel = xn.degrees >= 1
     weights = _factorial_weighted(xn.exponents[sel], (xn.coeffs[sel], xn.coeffs[sel]), 1)
     degrees = xn.degrees[sel].astype(np.float64)
+    lam1s = np.array([math.sqrt(2.0 * (n - 1)) / n for n in ns])
+    # each row's pairwise sum is the one np.sum takes over that n alone, bit for bit
+    bs = (weights * np.power((lam1s * lam1s)[:, None], degrees)).sum(axis=1).tolist()
     out = []
-    for n, middle in zip(ns, middles):
-        lam1 = math.sqrt(2.0 * (n - 1)) / n
-        b = float(np.sum(weights * np.power(lam1 * lam1, degrees)))
+    for n, middle, b in zip(ns, middles, bs):
         a = math.sqrt(1.0 + b)
         if b == 0.0:
             a_pow = 1.0
@@ -265,18 +266,13 @@ def proof_bound(x: ChaosExpansion, n: int) -> float:
 def min_chaos_order(x: ChaosExpansion, n: int):
     """Smallest |alpha| with nonzero coefficient in X^{⋄n}; None for the zero expansion.
 
-    For zero-mean X this is at least n times the minimal order of X, so every
-    projection of X^{⋄n} below order n vanishes identically.
+    Under the S-transform ⋄ multiplies polynomials, which have no zero divisors, so this is
+    n times the minimal order of X: at least n for zero-mean X, whose low projections vanish.
     """
     n = operator.index(n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    if x.n_terms == 0:
-        return None
-    w = wick_power(x, n)
-    if w.n_terms == 0:
-        return None
-    return int(w.degrees[0])
+    return n * int(x.degrees[0]) if x.n_terms else None
 
 
 @dataclass(frozen=True)
@@ -289,20 +285,27 @@ class ConvergenceEntry:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Per-n exact errors, their certificates, and the fitted decay rate."""
+    """Per-n exact errors and certificates; running_rates[i] is the decay rate fitted to entries[: i + 1]."""
 
     entries: tuple[ConvergenceEntry, ...]
-    fitted_rate: float
+    running_rates: tuple[float, ...]
     input_hash: str
 
+    @property
+    def fitted_rate(self) -> float:
+        return self.running_rates[-1] if self.running_rates else math.nan
 
-def _fit_rate(ns, errors) -> float:
-    pts = [(math.log(n), math.log(e)) for n, e in zip(ns, errors) if e > 0.0]
-    if len(pts) < 2:
-        return float("nan")
-    xs = np.array([p[0] for p in pts])
-    ys = np.array([p[1] for p in pts])
-    return float(np.polyfit(xs, ys, 1)[0])
+
+def _running_rates(ns, errors) -> tuple[float, ...]:
+    """Least-squares slope of log error on log n over each row prefix, without error <= 0; nan below 2 rows."""
+    kept = np.greater(errors, 0.0)
+    mask = np.tril(np.ones((len(ns), len(ns)))) * kept  # row i: the kept rows of prefix i
+    logs = np.log([ns, np.where(kept, errors, 1.0)])
+    count = mask.sum(axis=1)
+    # d[v, i, j]: row j's log v centred on prefix i's mean of v, 0 outside prefix i
+    d = mask * (logs[:, None, :] - (logs @ mask.T / np.maximum(count, 1.0))[:, :, None])
+    sxx, sxy = (d[0] * d).sum(axis=2)
+    return tuple(np.divide(sxy, sxx, out=np.full(len(ns), np.nan), where=count >= 2).tolist())
 
 
 def default_n_schedule(n_max: int = 512) -> list[int]:
@@ -324,6 +327,8 @@ def convergence_report(x: ChaosExpansion, ns=None, n_max: int = 512) -> Converge
     ns = [operator.index(n) for n in ns]
     if any(n < 2 for n in ns):
         raise ValueError("schedule entries must be >= 2")
+    if len(set(ns)) < len(ns):
+        raise ValueError("schedule entries must be distinct")
     entries = []
     if ns:
         xn = _normalized(x)
@@ -333,8 +338,7 @@ def convergence_report(x: ChaosExpansion, ns=None, n_max: int = 512) -> Converge
         )
         for n, err, factors in zip(ns, errors, _bound_factors(xn, h1, ns)):
             entries.append(ConvergenceEntry(n, err, factors.bound, factors.gamma_norm))
-    rate = _fit_rate([e.n for e in entries], [e.error for e in entries])
-    return ConvergenceReport(entries=tuple(entries), fitted_rate=rate, input_hash=expansion_hash(x))
+    return ConvergenceReport(tuple(entries), _running_rates(ns, [e.error for e in entries]), expansion_hash(x))
 
 
 def write_convergence_csv(report: ConvergenceReport, path, tool_version: str = "") -> None:
@@ -345,10 +349,7 @@ def write_convergence_csv(report: ConvergenceReport, path, tool_version: str = "
         fh.write(f"# input-hash: {report.input_hash}\n")
         fh.write(f"# fitted-rate: {repr(float(report.fitted_rate))}\n")
         fh.write("n,error,bound,norm_gamma,rate_running\n")
-        for i, entry in enumerate(report.entries):
-            running = _fit_rate(
-                [e.n for e in report.entries[: i + 1]], [e.error for e in report.entries[: i + 1]]
-            )
+        for entry, running in zip(report.entries, report.running_rates):
             fh.write(
                 f"{entry.n},{float(entry.error)!r},{float(entry.bound)!r},"
                 f"{float(entry.norm_gamma)!r},{float(running)!r}\n"

@@ -86,6 +86,20 @@ def test_converge_zero_mean_exits_2(tmp_path, capsys):
     assert "min_chaos_order" in err
 
 
+def test_converge_repeated_n_exits_2(tmp_path, capsys):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "c.csv"
+    cfg.write_text(json.dumps({"n_list": [4, 4, 8]}))
+    assert main(["converge", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: schedule entries must be distinct"]
+    assert not out.exists()
+    # an unsorted schedule stays valid and keeps its order
+    cfg.write_text(json.dumps({"n_list": [8, 2, 4]}))
+    assert main(["converge", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = [l for l in out.read_text().splitlines() if not l.startswith(("#", "n,"))]
+    assert [int(l.split(",")[0]) for l in rows] == [8, 2, 4]
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("h", [30.0, 25.0])
 def test_converge_out_of_float64_range_exits_2(h, tmp_path, capsys):
     # exp(h^2) overflows float64 at h = 30; at h = 25 the certificate does

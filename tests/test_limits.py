@@ -396,6 +396,25 @@ def test_min_chaos_order_examples():
     assert min_chaos_order(empty, 2) is None
 
 
+def test_min_chaos_order_is_the_lowest_degree_of_the_wick_power():
+    # the closed form against the full power, on inputs whose power prunes no
+    # coefficient: it keeps every multi-index of the n-fold sum of supports
+    rng = np.random.default_rng(23)
+    for _ in range(60):
+        dim = int(rng.integers(1, 4))
+        low = int(rng.integers(0, 3))
+        pool = [a for k in range(low, low + 3) for a in multi_indexes_of_degree(dim, k)]
+        picks = rng.choice(len(pool), size=min(4, len(pool)), replace=False)
+        x = make_expansion(dim, {pool[int(i)]: float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.0)) for i in picks})
+        n = int(rng.integers(1, 6))
+        rows, support = [tuple(a) for a in x.exponents.tolist()], {(0,) * dim}
+        for _ in range(n):
+            support = {tuple(map(sum, zip(a, b))) for a in support for b in rows}
+        w = wick_power(x, n)
+        assert w.n_terms == len(support)
+        assert min_chaos_order(x, n) == int(w.degrees[0]) == n * int(x.degrees[0])
+
+
 def test_zero_mean_low_order_projections_vanish_exactly():
     rng = np.random.default_rng(19)
     for _ in range(30):
@@ -445,17 +464,20 @@ def test_convergence_report_schedule_edges():
         assert rep.entries == ()
         assert math.isnan(rep.fitted_rate)
         assert rep.input_hash
-    # unsorted and repeated schedules keep the caller's order
-    rep = convergence_report(X11, ns=[8, 2, 8])
-    assert [e.n for e in rep.entries] == [8, 2, 8]
-    assert rep.entries[0] == rep.entries[2]
+    # unsorted schedules keep the caller's order
+    rep = convergence_report(X11, ns=[8, 2, 4])
+    assert [e.n for e in rep.entries] == [8, 2, 4]
+    assert rep.entries[0].error == convergence_error(X11, 8)
     assert rep.entries[1].error == convergence_error(X11, 2)
+    # a repeated n would enter the rate fit twice at one abscissa
+    with pytest.raises(ValueError, match="distinct"):
+        convergence_report(X11, ns=[8, 2, 8])
 
 
 def test_convergence_report_entries_match_standalone():
     x2 = make_expansion(2, [((0, 0), -1.3), ((1, 0), 0.4), ((0, 1), 0.7), ((1, 1), -0.2)])
     for x in (X11, univariate([0.9, -0.5, 0.3, 0.1]), x2):
-        for ns in ([2, 4, 8, 16, 32, 64], [3, 5, 6, 7, 12, 24], [12, 2, 7, 64, 3, 7]):
+        for ns in ([2, 4, 8, 16, 32, 64], [3, 5, 6, 7, 12, 24], [12, 2, 7, 64, 3, 5]):
             for e in convergence_report(x, ns=ns).entries:
                 factors = proof_bound_factors(x, e.n)
                 assert e.error == convergence_error(x, e.n)
@@ -472,9 +494,9 @@ def test_convergence_report_entries_match_one_element_schedules():
     for x, ns in (
         (X11, [2, 4, 8, 16, 32, 64]),
         (univariate([0.9, -0.5, 0.3, 0.1]), [3, 5, 6, 7, 12, 24]),
-        (univariate([1.0, -0.6, 0.3]), [100, 2, 100, 7]),  # n * deg > 170: log-space weights
+        (univariate([1.0, -0.6, 0.3]), [100, 2, 130, 7]),  # n * deg > 170: log-space weights
         (constant(1, 2.0), [4, 2]),  # errors and bounds 0, fitted rate NaN
-        (x2, [12, 2, 7, 3, 7]),
+        (x2, [12, 2, 7, 3, 5]),
         (x3, [5, 2, 4]),
         (pruned, [2, 8, 64, 3]),
     ):
@@ -537,6 +559,40 @@ def test_convergence_csv_round_trip(tmp_path):
         assert float(row[1]) == entry.error
         assert float(row[2]) == entry.bound
         assert float(row[3]) == entry.norm_gamma
+
+
+def test_running_rates_are_the_prefix_least_squares_fits(tmp_path):
+    # every CSV rate against np.polyfit over the same prefix: a wrongly
+    # broadcast centring moves the rates while every entry stays right
+    x2 = make_expansion(2, [((0, 0), 1.1), ((1, 0), -0.4), ((0, 1), 0.3), ((2, 1), 0.05)])
+    for x, ns in (
+        (X11, None),
+        (univariate([0.9, -0.5, 0.3, 0.1]), [3, 5, 6, 7, 12, 24]),
+        (univariate([1.0, 0.5, 0.25]), [64, 2, 16, 5, 1024, 3]),
+        (x2, [12, 2, 7, 3, 40]),
+    ):
+        report = convergence_report(x, ns=ns)
+        path = tmp_path / "rates.csv"
+        write_convergence_csv(report, path)
+        lines = path.read_text().splitlines()
+        (fitted,) = [float(l.split(": ")[1]) for l in lines if l.startswith("# fitted-rate: ")]
+        rows = [l.split(",") for l in lines if not l.startswith(("#", "n,"))]
+        log_n = [math.log(int(r[0])) for r in rows]
+        log_e = [math.log(float(r[1])) for r in rows]
+        assert rows[0][4] == "nan"
+        for i in range(1, len(rows)):
+            assert float(rows[i][4]) == pytest.approx(np.polyfit(log_n[: i + 1], log_e[: i + 1], 1)[0], rel=1e-12)
+        assert fitted == float(rows[-1][4]) == report.fitted_rate == report.running_rates[-1]
+    # rows with error 0 enter no fit: a constant input's rates are all nan
+    report = convergence_report(constant(2, 1.5), ns=[2, 4, 8])
+    assert [e.error for e in report.entries] == [0.0, 0.0, 0.0]
+    assert all(math.isnan(r) for r in report.running_rates) and math.isnan(report.fitted_rate)
+    ns, errors = [2, 4, 8, 16, 32], [0.5, 0.0, 0.2, 0.1, 0.0]
+    rates = limits._running_rates(ns, errors)
+    assert math.isnan(rates[0]) and math.isnan(rates[1])
+    for i, kept in ((2, [0, 2]), (3, [0, 2, 3]), (4, [0, 2, 3])):
+        fit = np.polyfit([math.log(ns[j]) for j in kept], [math.log(errors[j]) for j in kept], 1)[0]
+        assert rates[i] == pytest.approx(fit, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
