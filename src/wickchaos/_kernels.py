@@ -13,6 +13,9 @@ of their accumulator in code order, for the caller to canonicalize.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate
+
 import numpy as np
 
 # Dense accumulator cap: 2**26 float64 cells = 512 MiB.
@@ -27,8 +30,10 @@ _DENSE_FACTOR = 8
 # Term pairs per np.add.at call of the sparse branch (about 1.5 MB of temporaries).
 _SCATTER_PAIRS = 1 << 16
 
-# Hermite table cells per eval_batch chunk.
+# Hermite table cells per eval_batch chunk, and at most this many points, so
+# the vectors one recurrence step touches stay in a core's L2 cache.
 EVAL_CHUNK_CELLS = 1 << 20
+EVAL_CHUNK_POINTS = 1 << 15
 
 
 def _grid(exp_x, exp_y):
@@ -171,7 +176,10 @@ def hu_meyer_terms(exp_x, cx, exp_y, cy, max_contraction=-1):
 # or the overflow-safe normalized variant hat_h_k = He_k / sqrt(k!) with
 #   hat_h_{k+1} = (x hat_h_k - sqrt(k) hat_h_{k-1}) / sqrt(k+1),
 # in which case `coefs` must already carry the sqrt(alpha!) rescaling.
-# Terms are summed in table order for every sample.
+# Terms are summed in table order for every sample. Step k builds row k of
+# every axis, then adds the prefix of the table whose rows now all exist.
+# When every term uses only the row just built (dim 1 in degree order),
+# three rows of the recurrence are kept instead of the whole table.
 # ---------------------------------------------------------------------------
 
 
@@ -181,31 +189,35 @@ def eval_batch(exp_t, coefs, pts, normalized=False):
     out = np.zeros(n)
     if coefs.shape[0] == 0 or n == 0:
         return out
-    kmax = exp_t.max(axis=0).tolist()
-    kcap = max(kmax)
-    sqrts = np.sqrt(np.arange(kcap + 2, dtype=np.float64)).tolist()
     rows = exp_t.tolist()
-    chunk = max(1, EVAL_CHUNK_CELLS // ((kcap + 1) * d))
+    kmax = list(map(max, zip(*rows)))
+    step = list(accumulate(map(max, rows), max))  # the step that adds each term
+    kcap = step[-1]
+    ends = [bisect_right(step, k) for k in range(kcap + 1)]
+    # three rows when no term needs an older row; else kcap >= 1, so nrows >= 2
+    nrows = 3 if list(map(min, rows)) == step else kcap + 1
+    sqrts = np.sqrt(np.arange(kcap + 1, dtype=np.float64)).tolist() if normalized else None
+    terms = list(zip(rows, coefs.tolist()))
+    chunk = max(1, min(EVAL_CHUNK_POINTS, EVAL_CHUNK_CELLS // (nrows * d)))
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
-        table = np.empty((d, kcap + 1, hi - lo))
-        tmp = np.empty(hi - lo)
-        for i in range(d):
-            x = pts[lo:hi, i]
-            he = table[i]
-            he[0] = 1.0
-            if kmax[i] >= 1:
-                he[1] = x
-            for k in range(1, kmax[i]):
-                np.multiply(x, he[k], out=he[k + 1])
-                np.multiply(sqrts[k] if normalized else k, he[k - 1], out=tmp)
-                np.subtract(he[k + 1], tmp, out=he[k + 1])
-                if normalized:
-                    np.divide(he[k + 1], sqrts[k + 1], out=he[k + 1])
-        v = out[lo:hi]
-        for row, c in zip(rows, coefs.tolist()):
-            np.multiply(table[0, row[0]], c, out=tmp)
-            for i in range(1, d):
-                tmp *= table[i, row[i]]
-            v += tmp
+        table = np.empty((d, nrows, hi - lo))
+        tmp, v = np.empty(hi - lo), out[lo:hi]
+        table[:, 0] = 1.0
+        table[:, 1] = pts[lo:hi].T
+        axes = [(table[i], pts[lo:hi, i], kmax[i]) for i in range(d)]
+        for k, (j, end) in enumerate(zip([0] + ends, ends)):
+            for he, x, top in axes:
+                if 2 <= k <= top:
+                    cur = he[k % nrows]
+                    np.multiply(x, he[(k - 1) % nrows], out=cur)
+                    np.multiply(sqrts[k - 1] if normalized else k - 1, he[(k - 2) % nrows], out=tmp)
+                    np.subtract(cur, tmp, out=cur)
+                    if normalized:
+                        np.divide(cur, sqrts[k], out=cur)
+            for row, c in terms[j:end]:
+                np.multiply(table[0, row[0] % nrows], c, out=tmp)
+                for i in range(1, d):
+                    tmp *= table[i, row[i] % nrows]
+                v += tmp
     return out

@@ -57,19 +57,17 @@ def _load_config(path):
     return cfg
 
 
-def _resolve_expansion(value):
-    if isinstance(value, str):
-        with open(value) as fh:
-            value = json.load(fh)
-    return from_json_dict(value)
-
-
 def resolve_config(command: str, file_cfg: dict, overrides: dict) -> dict:
     """Merge defaults, config file and flag overrides into canonical form.
 
     Canonical form inlines the expansion as its serialized coefficient table,
     so resolving a resolved config is the identity.
     """
+    return _resolve(command, file_cfg, overrides)[0]
+
+
+def _resolve(command, file_cfg, overrides):
+    """The canonical config and its parsed expansion (None for verify)."""
     cfg = dict(_DEFAULTS[command])
     for key, value in file_cfg.items():
         if key not in cfg:
@@ -78,16 +76,22 @@ def resolve_config(command: str, file_cfg: dict, overrides: dict) -> dict:
     for key, value in overrides.items():
         if value is not None:
             cfg[key] = value
+    x = None
     if "expansion" in cfg:
-        cfg["expansion"] = to_json_dict(_resolve_expansion(cfg["expansion"]))
-    return cfg
+        value = cfg["expansion"]
+        if isinstance(value, str):
+            with open(value) as fh:
+                value = json.load(fh)
+        x = from_json_dict(value)
+        cfg["expansion"] = to_json_dict(x)
+    return cfg, x
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _cmd_verify(cfg) -> int:
+def _cmd_verify(cfg, _x) -> int:
     results = run_suites(seed=int(cfg["seed"]), cases=int(cfg["cases"]), tolerance=cfg["tolerance"])
     lines = [f"identity suites: {len(results)} (cases={cfg['cases']}, seed={cfg['seed']})"]
     for r in results:
@@ -105,8 +109,7 @@ def _cmd_verify(cfg) -> int:
     return 0 if not failed else 1
 
 
-def _cmd_converge(cfg) -> int:
-    x = from_json_dict(cfg["expansion"])
+def _cmd_converge(cfg, x) -> int:
     ns = cfg["n_list"] if cfg["n_list"] else default_n_schedule(int(cfg["n_max"]))
     report = convergence_report(x, ns=ns)
     write_convergence_csv(report, cfg["out"], tool_version=__version__)
@@ -115,8 +118,7 @@ def _cmd_converge(cfg) -> int:
     return 0
 
 
-def _cmd_dist(cfg) -> int:
-    x = from_json_dict(cfg["expansion"])
+def _cmd_dist(cfg, x) -> int:
     n_samples = int(cfg["samples"])
     if 1 <= n_samples < 1000:
         sys.stderr.write("warning: below minimum sample size 1000; statistics unreliable\n")
@@ -133,10 +135,12 @@ def _cmd_dist(cfg) -> int:
     write_distribution_json(report, cfg["out"], tool_version=__version__, input_hash=expansion_hash(x))
     write_samples_csv(report.batch, cfg["samples_out"], tool_version=__version__)
     crit = ks_critical_value(n_samples)
-    if report.ks_lognormal is None:
+    if report.concentration_at_one is not None:
         sys.stdout.write(
             f"degenerate target (h1 = 0): concentration at 1 = {_fmt(report.concentration_at_one)}\n"
         )
+    elif report.ks_lognormal is None:
+        sys.stdout.write(f"ks undefined: no sample is positive  frac_nonpositive: {_fmt(report.frac_nonpositive)}\n")
     else:
         sys.stdout.write(
             f"ks_lognormal: {_fmt(report.ks_lognormal)} (5% critical value {_fmt(crit)})\n"
@@ -191,8 +195,7 @@ def main(argv=None) -> int:
     # every flag's dest is a config key of its command (tests/test_cli.py checks this)
     overrides = {k: v for k, v in vars(args).items() if k in _DEFAULTS[args.command]}
     try:
-        cfg = resolve_config(args.command, _load_config(args.config), overrides)
-        return args.func(cfg)
+        return args.func(*_resolve(args.command, _load_config(args.config), overrides))
     except (ValueError, TypeError, OSError) as exc:  # incl. ZeroMeanError, JSONDecodeError, mistyped config values
         sys.stderr.write(f"error: {exc}\n")
         return 2

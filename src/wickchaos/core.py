@@ -66,10 +66,7 @@ def grade_lex_order(exponents):
 
 def multi_index_factorial(alpha) -> float:
     """alpha! = prod_i alpha_i!; +inf once any exponent factorial overflows."""
-    out = 1.0
-    for e in alpha:
-        out *= FACTORIALS[min(int(e), MAX_EXACT_FACTORIAL + 1)]
-    return out
+    return float(FACTORIALS[np.minimum(np.asarray(alpha, dtype=np.int64), MAX_EXACT_FACTORIAL + 1)].prod())
 
 
 def multi_indexes_of_degree(dim: int, degree: int) -> Iterator[tuple[int, ...]]:

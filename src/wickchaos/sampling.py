@@ -175,9 +175,7 @@ def ks_statistic(samples, target: str, mu: float, sigma: float) -> float:
         raise ValueError(f"target must be 'normal' or 'lognormal', got {target!r}")
     cdf = ndtr(z)
     i = np.arange(1, n + 1)
-    d_plus = np.max(i / n - cdf)
-    d_minus = np.max(cdf - (i - 1) / n)
-    return float(max(d_plus, d_minus))
+    return float(max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n)))  # D+ and D-
 
 
 def ks_critical_value(n_samples: int) -> float:
@@ -195,8 +193,7 @@ def write_samples_csv(batch: SampleBatch, path, tool_version: str = "") -> None:
         fh.write("index,value\n")
         # in slices, so a large batch never exists as python floats all at once
         for lo in range(0, len(batch.values), 8192):
-            rows = batch.values[lo : lo + 8192].tolist()
-            fh.writelines(f"{i},{v!r}\n" for i, v in enumerate(rows, lo))
+            fh.write("".join([f"{i},{v!r}\n" for i, v in enumerate(batch.values[lo : lo + 8192].tolist(), lo)]))
     meta = {
         "seed": batch.seed,
         "N": batch.size,

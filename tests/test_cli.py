@@ -208,6 +208,35 @@ def test_dist_degenerate_branch(tmp_path, capsys):
     assert report["concentration_at_one"] == 1.0
 
 
+def test_dist_without_positive_samples_reports_undefined_ks(tmp_path, capsys):
+    # 1 + 3 He1 at n = 2 is negative at the one drawn point: h1 != 0, yet no KS sample
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps({"dim": 1, "coeffs": [{"alpha": [0], "c": 1}, {"alpha": [1], "c": 3}]}))
+    out = ["--out", str(tmp_path / "d.json"), "--samples-out", str(tmp_path / "s.csv")]
+    assert main(["dist", "--expansion", str(path), "--n", "2", "--samples", "1", "--seed", "2"] + out) == 0
+    captured = capsys.readouterr()
+    assert "error" not in captured.err
+    assert captured.out.splitlines()[0] == "ks undefined: no sample is positive  frac_nonpositive: 1.0"
+    report = json.loads((tmp_path / "d.json").read_text())
+    assert report["ks_lognormal"] is None and report["ks_log_normal"] is None
+    assert report["frac_nonpositive"] == 1.0 and report["concentration_at_one"] is None
+
+
+def test_converge_and_dist_parse_the_expansion_once(tmp_path, monkeypatch, capsys):
+    import wickchaos.core
+
+    path = _write_expansion(tmp_path / "x.json", [1.0, 0.5])
+    calls = []
+    real = wickchaos.core.make_expansion
+    monkeypatch.setattr(wickchaos.core, "make_expansion", lambda *a: calls.append(a) or real(*a))
+    assert main(["converge", "--expansion", path, "--n-max", "8", "--out", str(tmp_path / "c.csv")]) == 0
+    assert len(calls) == 1
+    out = ["--out", str(tmp_path / "d.json"), "--samples-out", str(tmp_path / "s.csv")]
+    assert main(["dist", "--expansion", path, "--n", "4", "--samples", "1000"] + out) == 0
+    assert len(calls) == 2
+    capsys.readouterr()
+
+
 def test_parse_state_does_not_carry_over(tmp_path, capsys):
     # the parser is built once per process; each call must still start from the defaults
     out = ["--samples", "1000", "--out", str(tmp_path / "d.json"), "--samples-out", str(tmp_path / "s.csv")]

@@ -76,6 +76,26 @@ def test_multi_index_factorial():
     assert multi_index_factorial((200,)) == math.inf
 
 
+def test_multi_index_factorial_is_the_product_loop_bit_for_bit():
+    def loop(alpha):
+        out = 1.0
+        for e in alpha:
+            out *= FACTORIALS[min(int(e), 171)]
+        return out
+
+    rng = np.random.default_rng(31)
+    overflowed = 0
+    with np.errstate(over="ignore"):  # inf is the documented overflow value
+        for dim in range(1, 7):
+            for _ in range(300):
+                alpha = tuple(rng.integers(0, rng.choice([8, 60, 200]), size=dim).tolist())
+                expected = loop(alpha)
+                overflowed += expected == math.inf
+                assert multi_index_factorial(alpha) == expected
+        assert multi_index_factorial((100, 100)) == math.inf
+    assert overflowed > 100  # a single 171+ and products of finite factorials both reach inf
+
+
 def test_factorial_table():
     assert FACTORIALS[0] == 1.0
     assert FACTORIALS[5] == 120.0

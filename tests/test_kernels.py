@@ -227,6 +227,15 @@ def test_eval_batch_is_the_scalar_recurrence_bit_for_bit(monkeypatch):
         (np.array([[0, 0], [1, 0], [0, 2], [3, 1]]), False),
         (np.array([[0, 0, 0], [2, 0, 1], [0, 4, 0], [1, 1, 1]]), False),
         (np.array([[0], [1], [35], [40]]), True),
+        # dim 1 normalized with pruned degrees, the three-row path across gaps
+        (np.array([[0], [2], [3], [9], [31], [44]]), True),
+        # dim 1 out of degree order: added once the largest row so far exists
+        (np.array([[5], [2], [7]]), False),
+        (np.array([[12]]), False),
+        # the (1, 1) term's degree 2 exceeds every axis maximum 1
+        (np.array([[0, 0], [1, 0], [0, 1], [1, 1]]), False),
+        # sorted by largest exponent, yet (1, 4) needs row 1 after row 4 is built
+        (np.array([[0, 1], [4, 0], [1, 4]]), False),
     ):
         coefs = rng.uniform(-1, 1, exp_t.shape[0])
         pts = rng.standard_normal((300, exp_t.shape[1]))
@@ -235,4 +244,7 @@ def test_eval_batch_is_the_scalar_recurrence_bit_for_bit(monkeypatch):
         # many small chunks, the last one partial: same bits
         with monkeypatch.context() as m:
             m.setattr(_kernels, "EVAL_CHUNK_CELLS", 7 * 41 * exp_t.shape[1])
+            assert np.array_equal(_kernels.eval_batch(exp_t, coefs, pts, normalized), expected)
+        with monkeypatch.context() as m:
+            m.setattr(_kernels, "EVAL_CHUNK_POINTS", 64)
             assert np.array_equal(_kernels.eval_batch(exp_t, coefs, pts, normalized), expected)

@@ -16,6 +16,7 @@ from wickchaos import (
     first_order_kernel,
     gamma,
     inner_product,
+    ks_statistic,
     limit_distribution_test,
     make_expansion,
     max_coeff_deviation,
@@ -608,6 +609,17 @@ def test_limit_distribution_lognormal_family():
     assert rep.ks_log_normal is not None and rep.ks_log_normal < 0.05
     assert 0.0 <= rep.frac_nonpositive < 0.05
     assert rep.concentration_at_one is None
+
+
+def test_limit_distribution_ks_fields_are_the_separate_statistics():
+    # 1 + 1.5 He1 at n = 2 leaves some samples non-positive, so the filter matters
+    rep = limit_distribution_test(univariate([1.0, 1.5]), 2, 5000, seed=6)
+    assert 0.0 < rep.frac_nonpositive < 1.0
+    values = rep.batch.values
+    pos = values[values > 0.0]
+    sigma = math.sqrt(rep.target_sigma_sq)
+    assert rep.ks_lognormal == ks_statistic(pos, "lognormal", rep.target_mu, sigma)
+    assert rep.ks_log_normal == ks_statistic(np.log(pos), "normal", rep.target_mu, sigma)
 
 
 def test_limit_distribution_degenerate_point_mass():

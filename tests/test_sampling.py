@@ -1,5 +1,6 @@
 """Hermite evaluation, seeded sampling, the Mehler average, and KS statistics."""
 
+import hashlib
 import json
 import math
 
@@ -321,3 +322,27 @@ def test_write_samples_csv_and_sidecar(tmp_path):
     assert meta["N"] == 10
     assert meta["generator"] == GENERATOR_NAME
     assert meta["expansion-hash"] == batch.expansion_hash
+
+
+@pytest.mark.parametrize(
+    "dim, entries, digest",
+    [
+        # degree 44 with pruned degrees: the normalized recurrence
+        (
+            1,
+            {(0,): 1.0, (1,): 0.5, (2,): -0.25, (5,): 0.125, (33,): 2.0**-20, (44,): -(2.0**-30)},
+            "147f03e829bd2a1455ebd6d437721fc2deae401615a21e8ee7f860a5e27e14ca",
+        ),
+        (
+            2,
+            {(0, 0): 1.0, (1, 0): 0.5, (0, 1): -0.25, (2, 1): 0.125, (1, 3): -0.0625, (4, 4): 2.0**-6},
+            "822adf40596fd435fb42924bd965f213574ec5cd3786d115a47803aa0a073e7b",
+        ),
+    ],
+)
+def test_samples_csv_bytes_are_pinned(dim, entries, digest, tmp_path):
+    # the seeded draws, the Hermite recurrence and repr are deterministic, so
+    # a change to the evaluator or the writer must keep these bytes
+    path = tmp_path / "samples.csv"
+    write_samples_csv(sample_batch(make_expansion(dim, entries), 20000, seed=17), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
