@@ -65,8 +65,9 @@ def grade_lex_order(exponents):
 
 
 def multi_index_factorial(alpha) -> float:
-    """alpha! = prod_i alpha_i!; +inf once any exponent factorial overflows."""
-    return float(FACTORIALS[np.minimum(np.asarray(alpha, dtype=np.int64), MAX_EXACT_FACTORIAL + 1)].prod())
+    """alpha! = prod_i alpha_i!; +inf once any exponent factorial or their product overflows."""
+    with np.errstate(over="ignore"):  # inf is the documented overflow value
+        return float(FACTORIALS[np.minimum(np.asarray(alpha, dtype=np.int64), MAX_EXACT_FACTORIAL + 1)].prod())
 
 
 def multi_indexes_of_degree(dim: int, degree: int) -> Iterator[tuple[int, ...]]:

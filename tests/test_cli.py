@@ -37,6 +37,15 @@ def test_verify_without_cases_exits_2(cases, capsys):
     assert "cases must be at least 1" in captured.err
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf"])
+def test_verify_non_finite_tolerance_exits_2(tolerance, capsys):
+    # nan would fail every suite and inf would pass any deviation
+    assert main(["verify", "--cases", "1", f"--tolerance={tolerance}"]) == 2
+    captured = capsys.readouterr()
+    assert "suites passed" not in captured.out
+    assert "tolerance must be finite" in captured.err
+
+
 def test_verify_report_file(tmp_path, capsys):
     out_path = tmp_path / "report.txt"
     assert main(["verify", "--cases", "5", "--out", str(out_path)]) == 0

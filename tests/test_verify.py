@@ -4,6 +4,8 @@ import hashlib
 
 import pytest
 
+from wickchaos import verify
+from wickchaos.algebra import pointwise_product
 from wickchaos.core import make_expansion, multi_indexes_of_degree
 from wickchaos.verify import SUITE_NAMES, random_expansion, run_suite, run_suites
 
@@ -47,35 +49,60 @@ def test_unknown_suite_rejected():
         run_suite("fourier-inversion")
 
 
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_tolerance_rejected(tolerance):
+    # nan would fail every suite and inf would pass any deviation
+    with pytest.raises(ValueError, match="tolerance must be finite"):
+        run_suite("gamma-composition", cases=1, tolerance=tolerance)
+
+
+def test_suite_results_are_pinned():
+    # any change to a suite's draws, its worst-case fold or its tolerance
+    # changes some (name, cases, worst deviation, tolerance, verdict)
+    runs = [run_suites(seed=s, cases=50) for s in range(10)]
+    runs.append(run_suites(seed=0, cases=50, tolerance=1e-30))
+    digest = hashlib.sha256()
+    for results in runs:
+        for r in results:
+            digest.update(repr((r.name, r.cases, r.max_deviation.hex(), r.tolerance.hex(), r.passed)).encode())
+    assert digest.hexdigest() == "a83f867d81159384d4352c74a7177b01876ca82d21c7f8ac8ed97d05b4e357d8"
+
+
+def test_fixed_case_suite_runs_once_and_reports_the_requested_count(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return pointwise_product(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "pointwise_product", counting)
+    counts = []
+    for cases in (1, 50):
+        calls.clear()
+        result = run_suite("hermite-product-closed-forms", cases=cases)
+        assert result.cases == cases and result.passed
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
 def test_random_expansion_respects_bounds():
     rng = np.random.default_rng(0)
     for _ in range(50):
-        x = random_expansion(rng, max_degree=4, max_terms=6)
+        x = random_expansion(rng, max_degree=4)
         assert 1 <= x.dim <= 3
         assert x.max_degree <= 4
         assert 1 <= x.n_terms <= 6
         assert float(np.max(np.abs(x.coeffs))) <= 1.0
-    z = random_expansion(rng, dim=2, min_degree=1)
-    assert z.mean() == 0.0
 
 
-def _random_expansion_oracle(
-    rng, dim=None, max_degree=4, max_terms=6, min_degree=0, with_mean=False
-):
+def _random_expansion_oracle(rng, dim=None, max_degree=4):
     """The dict-plus-make_expansion form: a fresh pool, one scalar draw per pick."""
     if dim is None:
         dim = int(rng.integers(1, 4))
-    pool = [
-        alpha
-        for k in range(min_degree, max_degree + 1)
-        for alpha in multi_indexes_of_degree(dim, k)
-    ]
-    count = int(rng.integers(1, max_terms + 1))
+    pool = [alpha for k in range(max_degree + 1) for alpha in multi_indexes_of_degree(dim, k)]
+    count = int(rng.integers(1, 7))
     picks = rng.choice(len(pool), size=min(count, len(pool)), replace=False)
     entries = {pool[int(i)]: float(rng.uniform(-1.0, 1.0)) for i in picks}
-    if with_mean:
-        mean = float(rng.uniform(0.2, 1.0)) * (1.0 if rng.uniform() < 0.5 else -1.0)
-        entries[(0,) * dim] = mean
     return make_expansion(dim, entries)
 
 
@@ -86,14 +113,9 @@ _KEYWORD_CASES = (
     {"dim": 3},
     {"max_degree": 2},
     {"dim": 3, "max_degree": 4},
-    {"dim": 2, "max_degree": 2, "max_terms": 40},  # above the 6-index pool
-    {"dim": 1, "max_degree": 2, "max_terms": 9},
-    {"min_degree": 1},
-    {"with_mean": True},
-    {"dim": 1, "max_degree": 0, "with_mean": True},  # the pool is the zero index alone
-    {"with_mean": True, "min_degree": 1},
-    {"min_degree": 3, "max_degree": 2},  # empty pool
-    {"min_degree": 3, "max_degree": 2, "with_mean": True},
+    {"dim": 2, "max_degree": 2},  # a pool of 6, as many as the most terms
+    {"dim": 1, "max_degree": 2},  # a pool of 3, fewer than the most terms
+    {"dim": 1, "max_degree": 0},  # the pool is the zero index alone
 )
 
 
@@ -123,7 +145,7 @@ def test_random_expansion_stream_is_pinned():
             digest.update(np.int64(x.dim).tobytes())
             digest.update(x.exponents.tobytes())
             digest.update(x.coeffs.tobytes())
-    assert digest.hexdigest() == "f8db69d0486b5787df6652c77c22ba5c57a4f11cedbf34a29368ff8c8cdc9232"
+    assert digest.hexdigest() == "23ca1615a4140250bc58a7e63a453a61bfec3b685c9b292dd3dbc8e0732882cf"
 
 
 @pytest.mark.parametrize("dim", [0, -1])
