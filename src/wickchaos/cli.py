@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import sys
 import warnings
 
@@ -47,6 +48,11 @@ _DEFAULTS = {
 }
 
 
+# config keys whose values must be integers / real numbers; a JSON boolean is neither
+_INT_KEYS = ("cases", "seed", "n_max", "n", "samples")
+_REAL_KEYS = ("tolerance", "concentration_eps")
+
+
 def _load_config(path):
     if path is None:
         return {}
@@ -76,6 +82,15 @@ def _resolve(command, file_cfg, overrides):
     for key, value in overrides.items():
         if value is not None:
             cfg[key] = value
+    for key in [k for k in _INT_KEYS + _REAL_KEYS if k in cfg]:
+        value = cfg[key]
+        if isinstance(value, bool):
+            raise ValueError(f"config value {key!r} must be a number, got {value!r}")
+        if key in _INT_KEYS:
+            try:
+                cfg[key] = operator.index(value)
+            except TypeError:
+                raise ValueError(f"config value {key!r} must be an integer, got {value!r}") from None
     x = None
     if "expansion" in cfg:
         value = cfg["expansion"]
@@ -92,7 +107,7 @@ def _fmt(x: float) -> str:
 
 
 def _cmd_verify(cfg, _x) -> int:
-    results = run_suites(seed=int(cfg["seed"]), cases=int(cfg["cases"]), tolerance=cfg["tolerance"])
+    results = run_suites(seed=cfg["seed"], cases=cfg["cases"], tolerance=cfg["tolerance"])
     lines = [f"identity suites: {len(results)} (cases={cfg['cases']}, seed={cfg['seed']})"]
     for r in results:
         status = "pass" if r.passed else "FAIL"
@@ -110,7 +125,7 @@ def _cmd_verify(cfg, _x) -> int:
 
 
 def _cmd_converge(cfg, x) -> int:
-    ns = cfg["n_list"] if cfg["n_list"] else default_n_schedule(int(cfg["n_max"]))
+    ns = cfg["n_list"] if cfg["n_list"] else default_n_schedule(cfg["n_max"])
     report = convergence_report(x, ns=ns)
     write_convergence_csv(report, cfg["out"], tool_version=__version__)
     sys.stdout.write(f"wrote {cfg['out']} ({len(report.entries)} entries)\n")
@@ -119,7 +134,7 @@ def _cmd_converge(cfg, x) -> int:
 
 
 def _cmd_dist(cfg, x) -> int:
-    n_samples = int(cfg["samples"])
+    n_samples = cfg["samples"]
     if 1 <= n_samples < 1000:
         sys.stderr.write("warning: below minimum sample size 1000; statistics unreliable\n")
     with warnings.catch_warnings():
@@ -127,9 +142,9 @@ def _cmd_dist(cfg, x) -> int:
         warnings.filterwarnings("ignore", "n_samples below the minimum", UserWarning)
         report = limit_distribution_test(
             x,
-            int(cfg["n"]),
+            cfg["n"],
             n_samples,
-            int(cfg["seed"]),
+            cfg["seed"],
             concentration_eps=float(cfg["concentration_eps"]),
         )
     write_distribution_json(report, cfg["out"], tool_version=__version__, input_hash=expansion_hash(x))

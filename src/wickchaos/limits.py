@@ -24,7 +24,6 @@ from functools import reduce
 from itertools import accumulate
 
 import numpy as np
-from scipy.special import binom
 
 from .core import (
     ChaosExpansion,
@@ -108,6 +107,20 @@ def rescaled_wick_power(x: ChaosExpansion, n: int) -> ChaosExpansion:
     return _normalized_power(x, n)[1]
 
 
+def _multiset_counts(k, s_minus_1):
+    """C(k + s - 1, k), the number of multi-indexes of degree k over s coordinates, per entry.
+
+    The running product m * (k + i) / i over i = 1..s-1 is an integer at every
+    step, so it is exact while C * (s - 1) < 2**53, far above any count of
+    stored terms it is compared with.
+    """
+    m = np.ones(k.shape)
+    with np.errstate(over="ignore"):  # an inf count equals no term count
+        for i in range(1, int(s_minus_1.max(initial=0)) + 1):
+            m = np.where(i <= s_minus_1, m * (k + i) / i, m)
+    return m
+
+
 def _l2_distance_to_exponential(parts) -> list[float]:
     """Exact ||X - E(h)|| for each (X, h, support_degree) in parts, all X of one dim.
 
@@ -149,13 +162,11 @@ def _l2_distance_to_exponential(parts) -> list[float]:
     slots = starts[part] + np.concatenate([x.degrees for x in xs])
     stored = np.bincount(slots, weights=target_sq, minlength=masses.shape[0])
     counts = np.bincount(slots[on_support], minlength=masses.shape[0])
-    # C(k + s - 1, k) multi-indexes of degree k over s = |supp h| coordinates
-    # (exact in float64 wherever it is small enough to equal a term count);
     # h = 0 counts as s = 1, which is right at degree 0 and harmless above,
     # where its masses are 0
     k = np.arange(masses.shape[0]) - starts.repeat(lengths)
     s_minus_1 = np.array([max(np.count_nonzero(hv), 1) - 1 for _, hv, _ in parts]).repeat(lengths)
-    complete = counts == np.rint(binom(k + s_minus_1, k))
+    complete = counts == _multiset_counts(k, s_minus_1)
     # masses becomes the unstored mass; above a part's top degree nothing is
     # stored and no degree is complete, so its masses stay as they are
     masses = np.where(complete, 0.0, np.maximum(masses - stored, 0.0))

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import _kernels
 from .core import ChaosExpansion, _factorial_weighted, expansion_hash
@@ -173,6 +172,8 @@ def ks_statistic(samples, target: str, mu: float, sigma: float) -> float:
         z = (np.log(x) - mu) / sigma
     else:
         raise ValueError(f"target must be 'normal' or 'lognormal', got {target!r}")
+    from scipy.special import ndtr  # the only scipy use; importing it takes ~0.3 s, so only dist pays
+
     cdf = ndtr(z)
     i = np.arange(1, n + 1)
     return float(max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n)))  # D+ and D-

@@ -2,9 +2,14 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import wickchaos
 from wickchaos.cli import _DEFAULTS, build_parser, main, resolve_config
 from wickchaos.core import make_expansion, to_json_dict, univariate
 
@@ -167,7 +172,19 @@ def test_dist_nonpositive_samples_prints_only_the_error(samples, tmp_path, capsy
 
 @pytest.mark.parametrize(
     "command, cfg",
-    [("converge", {"n_list": [2.5, 4]}), ("dist", {"n": [3]})],
+    [
+        ("converge", {"n_list": [2.5, 4]}),
+        ("dist", {"n": [3]}),
+        ("verify", {"tolerance": True}),
+        ("verify", {"cases": True}),
+        ("verify", {"seed": 2.7}),
+        ("verify", {"tolerance": True, "cases": True, "seed": 2.7}),
+        ("converge", {"n_max": 2.5}),
+        ("dist", {"n": 2.5}),
+        ("dist", {"samples": 1000.7}),
+        ("dist", {"seed": "42"}),
+        ("dist", {"concentration_eps": False}),
+    ],
 )
 def test_mistyped_config_value_exits_2(command, cfg, tmp_path, capsys):
     path = tmp_path / "cfg.json"
@@ -310,3 +327,29 @@ def test_resolve_config_is_idempotent():
     assert cfg2 == cfg1
     cfg3 = resolve_config("dist", cfg1, {"n": 16})
     assert cfg3["n"] == 16
+
+
+def test_converge_and_verify_never_import_scipy(tmp_path):
+    # scipy.special is most of a cold start; only dist's KS statistic needs it
+    script = textwrap.dedent(f"""
+        import sys
+        import wickchaos, wickchaos.cli
+        from wickchaos import core
+        from wickchaos.cli import main
+
+        log_space_calls = []
+        log_factorial = core._log_factorial
+        core._log_factorial = lambda k: log_space_calls.append(k.size) or log_factorial(k)
+        out = {str(tmp_path)!r}
+        assert main(["converge", "--n-max", "1024", "--out", out + "/c.csv"]) == 0  # 1 + He1
+        assert log_space_calls  # alpha! overflows past degree 170
+        assert main(["verify", "--cases", "3"]) == 0
+        assert "scipy" not in sys.modules
+        args = ["--n", "4", "--samples", "1000", "--out", out + "/d.json", "--samples-out", out + "/s.csv"]
+        assert main(["dist"] + args) == 0
+        assert "scipy" in sys.modules
+    """)
+    src = os.path.dirname(os.path.dirname(wickchaos.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -4,6 +4,7 @@ import json
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -34,6 +35,7 @@ from wickchaos.core import (
     PRUNE_EPS,
     _exp_series,
     _factorial_weighted,
+    _log_factorial,
     _union,
     grade_lex_order,
 )
@@ -139,6 +141,48 @@ def test_factorial_weights_fall_back_to_log_space():
         0.5 * math.sqrt(6.0),
     ]
     assert _factorial_weighted(exps, (a,), 0.5) == pytest.approx(scaled, rel=1e-12)
+
+
+def _ulps(value, exact):
+    return float(abs(mpmath.mpf(float(value)) - exact)) / float(np.spacing(float(exact)))
+
+
+def test_log_factorial_within_2_ulp_of_mpmath():
+    # the exact-table branch (k <= 170) and Stirling's series (k >= 171)
+    ks = np.unique(np.concatenate([np.arange(2, 3001), np.rint(np.geomspace(2, 1e8, 400)).astype(np.int64)]))
+    got = _log_factorial(ks)
+    with mpmath.workdps(40):
+        worst = max(_ulps(v, mpmath.loggamma(int(k) + 1)) for k, v in zip(ks, got))
+    assert worst <= 2.0
+    assert _log_factorial(np.array([[0, 1], [171, 4096]])).tolist()[0] == [0.0, 0.0]
+
+
+def test_log_space_factorial_weights_against_mpmath():
+    # rows whose alpha! overflows, so every value comes from the log-space branch
+    rng = np.random.default_rng(3)
+    with mpmath.workdps(40):
+        # the callers' shapes, (c, c) with power 1 and (c,) with power 0.5, with c
+        # chosen so that the weight is a normal float
+        for alpha in [(171,), (200,), (300,), (440,), (100, 100), (220, 220), (160, 170, 170), (171, 0, 171)]:
+            exps = np.array([alpha])
+            log_fact = sum(mpmath.loggamma(e + 1) for e in alpha)
+            for power, n_factors in ((1, 2), (0.5, 1)):
+                c = float(mpmath.exp(-power * log_fact / n_factors) * rng.uniform(0.5, 2.0))
+                got = _factorial_weighted(exps, (np.array([-c]),) * n_factors, power)[0]
+                want = mpmath.exp(power * log_fact) * mpmath.mpf(-c) ** n_factors
+                assert abs(got - want) <= 1e-12 * abs(want), (alpha, power)
+        # |alpha| up to 4096 needs many factors to stay in range; the log-space sum
+        # then rounds about eps per unit of its summands' magnitude L
+        for alpha in [(1000,), (2048,), (4096,), (2048, 2048), (1365, 1365, 1366)]:
+            exps = np.array([alpha])
+            for power in (1, 0.5):
+                log_fact = power * sum(mpmath.loggamma(e + 1) for e in alpha)
+                n_factors = int(math.ceil(float(log_fact) / 500.0))
+                factors = [float(mpmath.exp(-log_fact / n_factors)) * rng.uniform(0.5, 2.0) for _ in range(n_factors)]
+                got = _factorial_weighted(exps, tuple(np.array([f]) for f in factors), power)[0]
+                want = mpmath.exp(log_fact) * mpmath.fprod(factors)
+                magnitude = 2.0 * float(log_fact)
+                assert abs(got - want) <= 4.0 * np.finfo(float).eps * magnitude * want, (alpha, power)
 
 
 def test_l2_norm_constant():

@@ -287,6 +287,19 @@ def test_distance_to_exponential_matches_enumeration():
     assert worst <= 1e-13
 
 
+def test_multiset_counts_match_math_comb():
+    # C(k + s - 1, k) for s <= 6 coordinates and k <= 4096, all in one call
+    k, s_minus_1 = (a.ravel() for a in np.meshgrid(np.arange(4097), np.arange(6)))
+    got = limits._multiset_counts(k, s_minus_1)
+    want = [math.comb(int(kk) + int(s), int(kk)) for kk, s in zip(k, s_minus_1)]
+    # exact while every step's product m * (k + i) stays below 2**53, and
+    # within rounding above
+    exact = [w * max(int(s), 1) < 2**53 for w, s in zip(want, s_minus_1)]
+    assert [int(g) for g, e in zip(got, exact) if e] == [w for w, e in zip(want, exact) if e]
+    assert not all(exact)
+    assert all(abs(g - w) <= 4 * np.finfo(float).eps * w for g, w in zip(got, want))
+
+
 def _family_error_50_digits(h, n):
     """Closed form of ||Gamma(1/n)(1 + h He1)^{<>n} - E(h)||, 50 digits."""
     with mp.workdps(50):
