@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import operator
+from functools import reduce
 
 import numpy as np
 
@@ -41,19 +42,30 @@ def wick_product(x: ChaosExpansion, y: ChaosExpansion) -> ChaosExpansion:
 
 def wick_power(x: ChaosExpansion, n: int) -> ChaosExpansion:
     """n-th Wick power X^{⋄n}, n >= 1, by repeated squaring (O(log n) products)."""
-    n = operator.index(n)
-    if n < 1:
-        raise ValueError("wick_power requires n >= 1 (the zeroth Wick power is undefined)")
-    result = None
-    base = x
-    k = n
-    while True:
-        if k & 1:
-            result = base if result is None else wick_product(result, base)
-        k >>= 1
-        if not k:
-            return result
-        base = wick_product(base, base)
+    return _dyadic_powers(x, [n])[0]
+
+
+def _dyadic_powers(x: ChaosExpansion, ns, rescale: bool = False) -> list[ChaosExpansion]:
+    """X^{⋄n}, or Gamma(1/n) X^{⋄n} when rescale, for each n in ns (all >= 1), in the order given.
+
+    chain[k] = X^{⋄2^k} is the ⋄-square of chain[k-1], and each power is the ⋄-product of
+    chain[k] over the set bits k of n, lowest first. Gamma is a ⋄-homomorphism, so with
+    rescale chain[k] = (Gamma(2^-k) X)^{⋄2^k} squares Gamma(1/2) chain[k-1], and the
+    factors are Gamma(2^k/n) chain[k]. Scaling before squaring keeps the central
+    coefficients, which overflow float64 in the raw power past n ~ 1000, bounded by the L2 norm.
+    """
+    ns = [operator.index(n) for n in ns]
+    if min(ns) < 1:
+        raise ValueError("Wick powers need n >= 1 (the zeroth Wick power is undefined)")
+    chain = [x]
+    while len(chain) < max(ns).bit_length():
+        half = gamma(0.5, chain[-1]) if rescale else chain[-1]
+        chain.append(wick_product(half, half))
+    return [
+        reduce(wick_product, [gamma((1 << k) / n, chain[k]) if rescale and n != 1 << k else chain[k]
+                              for k in range(n.bit_length()) if n >> k & 1])
+        for n in ns
+    ]
 
 
 def pointwise_product(
@@ -112,13 +124,5 @@ def wick_bound_check(xs) -> tuple[float, float]:
         raise ValueError("empty factor list")
     for y in xs[1:]:
         _check_same_dim(xs[0], y)
-    n = len(xs)
-    prod = xs[0]
-    for y in xs[1:]:
-        prod = wick_product(prod, y)
-    lhs = l2_norm(prod)
-    root = math.sqrt(n)
-    rhs = 1.0
-    for y in xs:
-        rhs *= l2_norm(gamma(root, y))
-    return lhs, rhs
+    root = math.sqrt(len(xs))
+    return l2_norm(reduce(wick_product, xs)), math.prod(l2_norm(gamma(root, y)) for y in xs)

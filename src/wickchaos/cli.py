@@ -51,6 +51,8 @@ _DEFAULTS = {
 # config keys whose values must be integers / real numbers; a JSON boolean is neither
 _INT_KEYS = ("cases", "seed", "n_max", "n", "samples")
 _REAL_KEYS = ("tolerance", "concentration_eps")
+# output paths: a JSON integer would reach open() as a file descriptor
+_PATH_KEYS = ("out", "samples_out")
 
 
 def _load_config(path):
@@ -82,9 +84,10 @@ def _resolve(command, file_cfg, overrides):
     for key, value in overrides.items():
         if value is not None:
             cfg[key] = value
-    for key in [k for k in _INT_KEYS + _REAL_KEYS if k in cfg]:
-        value = cfg[key]
-        if isinstance(value, bool):
+    for key, value in cfg.items():
+        if key in _PATH_KEYS and value is not None and not isinstance(value, str):
+            raise ValueError(f"config value {key!r} must be a path, got {value!r}")
+        if key in _INT_KEYS + _REAL_KEYS and isinstance(value, bool):
             raise ValueError(f"config value {key!r} must be a number, got {value!r}")
         if key in _INT_KEYS:
             try:

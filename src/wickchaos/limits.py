@@ -20,7 +20,6 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
-from functools import reduce
 from itertools import accumulate
 
 import numpy as np
@@ -34,7 +33,7 @@ from .core import (
     first_order_kernel,
     gamma,
 )
-from .algebra import wick_product
+from .algebra import _dyadic_powers
 from .sampling import ks_critical_value, ks_statistic, sample_batch
 
 __all__ = [
@@ -74,32 +73,10 @@ def _normalized(x: ChaosExpansion) -> ChaosExpansion:
     return x / mean
 
 
-def _rescaled_powers(xn: ChaosExpansion, ns) -> list[ChaosExpansion]:
-    """Gamma(1/n) Xn^{⋄n} for each n in ns (all >= 1), in the order given.
-
-    Gamma is a ⋄-homomorphism: chain[k] = (Gamma(2^-k) Xn)^{⋄2^k} is the ⋄-square of
-    Gamma(1/2) chain[k-1], and each power is the ⋄-product of Gamma(2^k/n) chain[k] over
-    the set bits k of n. Scaling before squaring keeps the central coefficients, which
-    overflow float64 in the raw power past n ~ 1000, bounded by the L2 norm.
-    """
-    chain = [xn]
-    while len(chain) < max(ns).bit_length():
-        half = gamma(0.5, chain[-1])
-        chain.append(wick_product(half, half))
-    return [
-        reduce(wick_product, [chain[k] if n == 1 << k else gamma((1 << k) / n, chain[k])
-                              for k in range(n.bit_length()) if n >> k & 1])
-        for n in ns
-    ]
-
-
 def _normalized_power(x: ChaosExpansion, n) -> tuple[ChaosExpansion, ChaosExpansion]:
     """X/E[X] and Gamma(1/n) (X/E[X])^{⋄n}, for n >= 1."""
-    n = operator.index(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
     xn = _normalized(x)
-    return xn, _rescaled_powers(xn, [n])[0]
+    return xn, _dyadic_powers(xn, [n], rescale=True)[0]
 
 
 def rescaled_wick_power(x: ChaosExpansion, n: int) -> ChaosExpansion:
@@ -323,12 +300,7 @@ def default_n_schedule(n_max: int = 512) -> list[int]:
     """Powers of two from 2 up to n_max."""
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    ns = []
-    n = 2
-    while n <= n_max:
-        ns.append(n)
-        n *= 2
-    return ns
+    return [1 << k for k in range(1, int(n_max).bit_length())]
 
 
 def convergence_report(x: ChaosExpansion, ns=None, n_max: int = 512) -> ConvergenceReport:
@@ -345,7 +317,7 @@ def convergence_report(x: ChaosExpansion, ns=None, n_max: int = 512) -> Converge
         xn = _normalized(x)
         h1 = first_order_kernel(xn)
         errors = _l2_distance_to_exponential(
-            [(r, h1, n * x.max_degree) for n, r in zip(ns, _rescaled_powers(xn, ns))]
+            [(r, h1, n * x.max_degree) for n, r in zip(ns, _dyadic_powers(xn, ns, rescale=True))]
         )
         for n, err, factors in zip(ns, errors, _bound_factors(xn, h1, ns)):
             entries.append(ConvergenceEntry(n, err, factors.bound, factors.gamma_norm))

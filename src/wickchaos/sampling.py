@@ -46,6 +46,22 @@ GENERATOR_NAME = "numpy-pcg64-ziggurat"
 # Asymptotic one-sample KS critical point at the 5% level: 1.358 / sqrt(N).
 KS_COEFF_5PCT = 1.358
 
+# Cephes ndtr/erf/erfc (S. L. Moshier, Methods and Programs for Mathematical
+# Functions, 1989), the algorithm of scipy.special.ndtr. Coefficients in Horner
+# order, as the shortest reprs of their float64 values (Q, S and U are monic).
+_SQRT1_2 = 0.7071067811865476
+_MAXLOG = 709.782712893384  # log(DBL_MAX): Cephes' erfc is 0 where z^2 exceeds it
+_P = (2.461969814735305e-10, 0.5641895648310689, 7.463210564422699, 48.63719709856814, 196.5208329560771,
+      526.4451949954773, 934.5285271719576, 1027.5518868951572, 557.5353353693994)
+_Q = (1.0, 13.228195115474499, 86.70721408859897, 354.9377788878199, 975.7085017432055, 1823.9091668790973,
+      2246.3376081871097, 1656.6630919416134, 557.5353408177277)
+_R = (0.5641895835477551, 1.275366707599781, 5.019050422511805, 6.160210979930536, 7.4097426995044895,
+      2.9788666537210022)
+_S = (1.0, 2.2605286322011726, 9.396035249380015, 12.048953980809666, 17.08144507475659, 9.608968090632859,
+      3.369076451000815)
+_T = (9.604973739870516, 90.02601972038427, 2232.005345946843, 7003.325141128051, 55592.30130103949)
+_U = (1.0, 33.56171416475031, 521.3579497801527, 4594.323829709801, 22629.000061389095, 49267.39426086359)
+
 
 def hermite_eval(k: int, x: float) -> float:
     """Probabilists' Hermite polynomial He_k(x), as the one-term table He_k at one point."""
@@ -163,20 +179,49 @@ def ks_statistic(samples, target: str, mu: float, sigma: float) -> float:
         raise ValueError("empty sample batch")
     if not sigma > 0:
         raise ValueError("sigma must be positive")
+    if target not in ("normal", "lognormal"):
+        raise ValueError(f"target must be 'normal' or 'lognormal', got {target!r}")
     x = np.sort(values)
-    if target == "normal":
-        z = (x - mu) / sigma
-    elif target == "lognormal":
+    if target == "lognormal":
         if x[0] <= 0.0:
             raise ValueError("non-positive sample under lognormal target")
-        z = (np.log(x) - mu) / sigma
-    else:
-        raise ValueError(f"target must be 'normal' or 'lognormal', got {target!r}")
-    from scipy.special import ndtr  # the only scipy use; importing it takes ~0.3 s, so only dist pays
-
-    cdf = ndtr(z)
+        x = np.log(x)
+    with np.errstate(over="ignore"):  # a |z| past float64 is inf, where the CDF is exactly 0 or 1
+        cdf = _ndtr((x - mu) / sigma)
     i = np.arange(1, n + 1)
     return float(max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n)))  # D+ and D-
+
+
+def _polevl(x, coefs):
+    """Cephes polevl, Horner's rule from the highest power; a leading 1.0 gives p1evl, as 1.0 * x is x."""
+    y = np.full_like(x, coefs[0])
+    for c in coefs[1:]:
+        y *= x
+        y += c
+    return y
+
+
+def _ndtr(a: np.ndarray) -> np.ndarray:
+    """Standard normal CDF, bit for bit scipy.special.ndtr: Cephes' float operations in Cephes' order.
+
+    With x = a/sqrt(2): 0.5 + 0.5 erf(x) for |x| < 1/sqrt(2), else 0.5 erfc(|x|), reflected for
+    x > 0; erfc(z) is 1 - erf(z) below 1, e^(-z^2) P(z)/Q(z) below 8 and e^(-z^2) R(z)/S(z) above.
+    """
+    x = a * _SQRT1_2
+    z = np.abs(x)
+    y = np.empty_like(x)
+    inner = z < 1.0
+    t = x[inner]
+    erf = t * _polevl(t * t, _T) / _polevl(t * t, _U)
+    y[inner] = np.where(z[inner] < _SQRT1_2, 0.5 + 0.5 * erf, 0.5 * (1.0 - np.abs(erf)))
+    t = np.minimum(z[~inner], 27.0)  # 27^2 > MAXLOG: past the cut, where erfc is 0, the polynomials stay finite
+    # libm's exp, which Cephes calls: np.exp differs from it in the last bit on ~1% of points
+    e = np.fromiter(map(math.exp, (-t * t).tolist()), np.float64, t.size)
+    e[t * t > _MAXLOG] = 0.0
+    near = t < 8.0
+    p = np.where(near, _polevl(t, _P), _polevl(t, _R))
+    y[~inner] = 0.5 * (e * p / np.where(near, _polevl(t, _Q), _polevl(t, _S)))
+    return np.subtract(1.0, y, out=y, where=(z >= _SQRT1_2) & (x > 0.0))
 
 
 def ks_critical_value(n_samples: int) -> float:

@@ -102,10 +102,6 @@ def _exponential_semigroup(rng):
     return max_coeff_deviation(project_degree(prod, deg, "at_most"), exp_vector(h + g, deg).expansion)
 
 
-def _wick_power_or_unit(x, k):
-    return constant(x.dim) if k == 0 else wick_power(x, k)
-
-
 def _telescoping(rng):
     # Y^n - Z^n = (Y - Z) ⋄ sum_j Y^j ⋄ Z^(n-1-j), all powers Wick
     dim = int(rng.integers(1, 4))
@@ -114,11 +110,10 @@ def _telescoping(rng):
     z = random_expansion(rng, dim=dim, max_degree=deg)
     n = int(rng.integers(2, 7))
     lhs = wick_power(y, n) - wick_power(z, n)
-    total = None
-    for j in range(n):
-        term = wick_product(_wick_power_or_unit(y, j), _wick_power_or_unit(z, n - 1 - j))
-        total = term if total is None else total + term
-    return max_coeff_deviation(lhs, wick_product(y - z, total))
+    ys = [constant(dim)] + [wick_power(y, j) for j in range(1, n)]
+    zs = [constant(dim)] + [wick_power(z, j) for j in range(1, n)]
+    terms = [wick_product(ys[j], zs[n - 1 - j]) for j in range(n)]
+    return max_coeff_deviation(lhs, wick_product(y - z, sum(terms[1:], terms[0])))
 
 
 def _wick_commutativity(rng):

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, config precedence, determinism, exit codes."""
 
 import argparse
+import contextlib
 import json
 import os
 import subprocess
@@ -170,6 +171,10 @@ def test_dist_nonpositive_samples_prints_only_the_error(samples, tmp_path, capsy
     assert capsys.readouterr().err.splitlines() == ["error: n_samples must be positive"]
 
 
+# stands for a descriptor open on a temporary file: a JSON integer that open() takes as a file descriptor
+_OPEN_FD = object()
+
+
 @pytest.mark.parametrize(
     "command, cfg",
     [
@@ -184,15 +189,26 @@ def test_dist_nonpositive_samples_prints_only_the_error(samples, tmp_path, capsy
         ("dist", {"samples": 1000.7}),
         ("dist", {"seed": "42"}),
         ("dist", {"concentration_eps": False}),
+        ("verify", {"cases": 1, "out": _OPEN_FD}),
+        ("converge", {"n_max": 8, "out": _OPEN_FD}),
+        ("dist", {"samples": 1000, "out": _OPEN_FD}),
+        ("dist", {"samples": 1000, "samples_out": _OPEN_FD}),
     ],
 )
 def test_mistyped_config_value_exits_2(command, cfg, tmp_path, capsys):
+    sink = os.open(tmp_path / "sink", os.O_WRONLY | os.O_CREAT)
+    cfg = {key: sink if value is _OPEN_FD else value for key, value in cfg.items()}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    out = ["--out", str(tmp_path / "o.out")]
-    if command == "dist":
-        out += ["--samples-out", str(tmp_path / "s.csv")]
-    assert main([command, "--config", str(path)] + out) == 2
+    # path flags only where the config file does not set the path, as flags take precedence
+    flags = {"out": str(tmp_path / "o.out"), "samples_out": str(tmp_path / "s.csv")}
+    out = [arg for key in ("out", "samples_out") if key in _DEFAULTS[command] and key not in cfg
+           for arg in (f"--{key.replace('_', '-')}", flags[key])]
+    try:
+        assert main([command, "--config", str(path)] + out) == 2
+    finally:
+        with contextlib.suppress(OSError):  # closed already where open() took it as a descriptor
+            os.close(sink)
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
 
@@ -329,9 +345,11 @@ def test_resolve_config_is_idempotent():
     assert cfg3["n"] == 16
 
 
-def test_converge_and_verify_never_import_scipy(tmp_path):
-    # scipy.special is most of a cold start; only dist's KS statistic needs it
+def test_no_command_imports_scipy(tmp_path):
+    # scipy is a test-only oracle; importing scipy.special would be most of a cold start
     script = textwrap.dedent(f"""
+        import json
+        import pathlib
         import sys
         import wickchaos, wickchaos.cli
         from wickchaos import core
@@ -344,10 +362,10 @@ def test_converge_and_verify_never_import_scipy(tmp_path):
         assert main(["converge", "--n-max", "1024", "--out", out + "/c.csv"]) == 0  # 1 + He1
         assert log_space_calls  # alpha! overflows past degree 170
         assert main(["verify", "--cases", "3"]) == 0
-        assert "scipy" not in sys.modules
         args = ["--n", "4", "--samples", "1000", "--out", out + "/d.json", "--samples-out", out + "/s.csv"]
         assert main(["dist"] + args) == 0
-        assert "scipy" in sys.modules
+        assert json.loads(pathlib.Path(out, "d.json").read_text())["ks_lognormal"] is not None  # KS ran
+        assert "scipy" not in sys.modules
     """)
     src = os.path.dirname(os.path.dirname(wickchaos.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

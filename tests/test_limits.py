@@ -664,3 +664,19 @@ def test_limit_distribution_sample_determinism():
     b = limit_distribution_test(univariate([1.0, 0.5]), 16, 5000, seed=11)
     assert np.array_equal(a.batch.values, b.batch.values)
     assert a.ks_lognormal == b.ks_lognormal
+
+
+@pytest.mark.parametrize(
+    "x, n, n_samples, seed, ks_hex",
+    [
+        # dist's defaults
+        (univariate([1.0, 0.5]), 64, 100000, 42, "0x1.c752d290557e0p-9"),
+        (make_expansion(1, {(0,): 1.0, (1,): 0.4, (2,): -0.2}), 32, 20000, 11, "0x1.b480533849b80p-7"),
+        (make_expansion(2, {(0, 0): 1.0, (1, 0): 0.3, (0, 1): -0.2, (1, 1): 0.1}), 8, 20000, 12,
+         "0x1.635e6d2013860p-6"),
+    ],
+)
+def test_limit_distribution_ks_bits_are_pinned(x, n, n_samples, seed, ks_hex):
+    # the KS statistic, normal CDF included, must keep the bits of scipy.special.ndtr's values
+    rep = limit_distribution_test(x, n, n_samples, seed=seed)
+    assert rep.ks_lognormal.hex() == ks_hex

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from wickchaos import (
     constant,
@@ -22,7 +22,7 @@ from wickchaos import (
     univariate,
     write_samples_csv,
 )
-from wickchaos.sampling import GENERATOR_NAME, HERMITE_DEGREE_CAP
+from wickchaos.sampling import GENERATOR_NAME, HERMITE_DEGREE_CAP, _ndtr
 
 he1 = univariate([0.0, 1.0])
 he2 = univariate([0.0, 0.0, 1.0])
@@ -250,6 +250,39 @@ def test_ou_rejects_non_finite_point():
 # ---------------------------------------------------------------------------
 # Kolmogorov-Smirnov statistic
 # ---------------------------------------------------------------------------
+
+
+def _with_neighbours(values):
+    values = np.asarray(values, dtype=np.float64)
+    return np.concatenate([values, np.nextafter(values, np.inf), np.nextafter(values, -np.inf)])
+
+
+def test_ndtr_is_scipy_ndtr_bit_for_bit():
+    # the port replaces scipy at run time; scipy stays the oracle in the tests
+    rng = np.random.default_rng(31)
+    dense = np.concatenate([rng.standard_normal(200_000) * s for s in (0.3, 1.0, 3.0, 12.0, 30.0)])
+    edges = [1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0)]  # |x| = |a|/sqrt(2) at 1/sqrt(2), 1 and 8
+    cut = math.sqrt(2.0 * 7.09782712893383996843e2)  # |a| ~ 37.68, where e^(-x^2) is cut to 0
+    points = np.concatenate([
+        dense,
+        _with_neighbours(edges + [-e for e in edges]),
+        np.outer([1.0, -1.0], cut + np.arange(-64, 65) * np.spacing(cut)).ravel(),  # every double near it
+        np.linspace(-45.0, 45.0, 90_001),
+        [0.0, -0.0, 1e300, -1e300, 1e155, -1e155, 5e-324, -5e-324, np.inf, -np.inf],
+    ])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):  # underflow is expected
+        got = _ndtr(points)
+    assert np.array_equal(got.view(np.int64), ndtr(points).view(np.int64))
+
+
+@pytest.mark.parametrize("target", ["normal", "lognormal"])
+@pytest.mark.parametrize("sigma", [1e-300, 5e-324])
+def test_ks_tiny_sigma_has_no_runtime_warning(target, sigma):
+    # |z| near 1e300 or past float64: the CDF tail must be cut before e^(-x^2)
+    # or a polynomial overflows, and an infinite z is a CDF of 0 or 1
+    samples = np.array([0.5, 1.0, 2.0]) if target == "lognormal" else np.array([-1.0, 0.0, 1.0])
+    # z is -huge, 0 and +huge, so the CDF is 0, 1/2 and 1
+    assert ks_statistic(samples, target, 0.0, sigma) == pytest.approx(1.0 / 3.0)
 
 
 def test_ks_perfect_quantile_fit():
