@@ -17,7 +17,6 @@ from . import __version__
 from .core import expansion_hash, from_json_dict, to_json_dict
 from .limits import (
     convergence_report,
-    default_n_schedule,
     limit_distribution_test,
     write_convergence_csv,
     write_distribution_json,
@@ -48,7 +47,7 @@ _DEFAULTS = {
 }
 
 
-# config keys whose values must be integers / real numbers; a JSON boolean is neither
+# config keys whose values must be integers / finite real numbers; a JSON boolean is neither
 _INT_KEYS = ("cases", "seed", "n_max", "n", "samples")
 _REAL_KEYS = ("tolerance", "concentration_eps")
 # output paths: a JSON integer would reach open() as a file descriptor
@@ -94,6 +93,10 @@ def _resolve(command, file_cfg, overrides):
                 cfg[key] = operator.index(value)
             except TypeError:
                 raise ValueError(f"config value {key!r} must be an integer, got {value!r}") from None
+        if key in _REAL_KEYS and not (value is None and key == "tolerance"):
+            # NaN compares false; an int past the float range would overflow float() later
+            if not (isinstance(value, (int, float)) and abs(value) <= sys.float_info.max):
+                raise ValueError(f"config value {key} must be finite and real, got {value!r}")
     x = None
     if "expansion" in cfg:
         value = cfg["expansion"]
@@ -128,8 +131,7 @@ def _cmd_verify(cfg, _x) -> int:
 
 
 def _cmd_converge(cfg, x) -> int:
-    ns = cfg["n_list"] if cfg["n_list"] else default_n_schedule(cfg["n_max"])
-    report = convergence_report(x, ns=ns)
+    report = convergence_report(x, ns=cfg["n_list"] or None, n_max=cfg["n_max"])
     write_convergence_csv(report, cfg["out"], tool_version=__version__)
     sys.stdout.write(f"wrote {cfg['out']} ({len(report.entries)} entries)\n")
     sys.stdout.write(f"fitted_rate: {_fmt(report.fitted_rate)}\n")

@@ -82,6 +82,9 @@ def multi_index_factorial(alpha) -> float:
 
 def multi_indexes_of_degree(dim: int, degree: int) -> Iterator[tuple[int, ...]]:
     """All multi-indexes of the given total degree, lexicographically ascending."""
+    dim = _check_dim(dim)
+    if degree < 0:
+        raise ValueError("degree must be non-negative")
     if dim == 1:
         yield (degree,)
         return

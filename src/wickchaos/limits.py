@@ -48,6 +48,7 @@ __all__ = [
     "ConvergenceEntry",
     "ConvergenceReport",
     "convergence_report",
+    "default_n_schedule",
     "write_convergence_csv",
     "DistributionReport",
     "limit_distribution_test",

@@ -24,7 +24,6 @@ from .core import (
     l2_norm_sq,
     make_expansion,
     max_coeff_deviation,
-    multi_indexes_of_degree,
     project_degree,
 )
 from .algebra import pointwise_product, s_transform_eval, wick_bound_check, wick_power, wick_product
@@ -43,11 +42,8 @@ class SuiteResult:
 
 @functools.lru_cache(maxsize=64)
 def _index_pool(dim, max_degree):
-    """Every multi-index of degree 0..max_degree, in (degree, lex) order; read-only."""
-    pool = [a for k in range(max_degree + 1) for a in multi_indexes_of_degree(dim, k)]
-    pool = np.array(pool, dtype=np.int64).reshape(-1, dim)
-    pool.setflags(write=False)
-    return pool
+    """Every multi-index of degree 0..max_degree, in (degree, lex) order, as the support of E(1, ..., 1)."""
+    return exp_vector(np.ones(dim), max_degree).expansion.exponents
 
 
 def random_expansion(rng, dim=None, max_degree=4):

@@ -193,6 +193,10 @@ _OPEN_FD = object()
         ("converge", {"n_max": 8, "out": _OPEN_FD}),
         ("dist", {"samples": 1000, "out": _OPEN_FD}),
         ("dist", {"samples": 1000, "samples_out": _OPEN_FD}),
+        ("dist", {"concentration_eps": float("nan"), "samples": 1000, "n": 4}),
+        ("dist", {"concentration_eps": float("inf"), "samples": 1000, "n": 4}),
+        ("verify", {"tolerance": "0.5", "cases": 1}),
+        ("verify", {"tolerance": 10**400, "cases": 1}),
     ],
 )
 def test_mistyped_config_value_exits_2(command, cfg, tmp_path, capsys):

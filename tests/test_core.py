@@ -8,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import wickchaos
 from wickchaos import (
     constant,
     exp_vector,
@@ -121,6 +122,40 @@ def test_multi_indexes_of_degree_lex_order():
     assert idx[-1] == (2, 0, 0)
     assert len(idx) == 6
     assert idx == sorted(idx)
+
+
+@pytest.mark.parametrize("dim, degree", [(1, -1), (3, -2), (0, 1), (1.5, 2), (-1, 0)])
+def test_multi_indexes_of_degree_rejects_bad_input(dim, degree):
+    with pytest.raises(ValueError):
+        list(multi_indexes_of_degree(dim, degree))
+
+
+# the root namespace: every module's __all__, plus the four modules themselves
+_PUBLIC_NAMES = [
+    "BoundFactors", "ChaosExpansion", "ConvergenceEntry", "ConvergenceReport", "DistributionReport",
+    "ExpVectorResult", "GENERATOR_NAME", "HERMITE_DEGREE_CAP", "MEAN_EPS", "NORMALIZED_RECURRENCE_DEGREE",
+    "OuEstimate", "SampleBatch", "ZeroMeanError", "algebra", "constant", "convergence_error",
+    "convergence_report", "core", "default_n_schedule", "evaluate", "exp_vector", "expansion_hash",
+    "first_order_kernel", "from_json_dict", "gamma", "hermite_eval", "inner_product", "ks_critical_value",
+    "ks_statistic", "l2_norm", "l2_norm_sq", "limit_distribution_test", "limits", "make_expansion",
+    "max_coeff_deviation", "min_chaos_order", "multi_index_factorial", "multi_indexes_of_degree",
+    "ou_apply_mc", "pointwise_product", "project_degree", "proof_bound", "proof_bound_factors",
+    "rescaled_wick_power", "s_transform_eval", "sample_batch", "sampling", "to_json_dict", "univariate",
+    "wick_bound_check", "wick_power", "wick_product", "write_convergence_csv", "write_distribution_json",
+    "write_samples_csv",
+]
+
+
+def test_public_surface_is_pinned():
+    assert sorted(wickchaos.__all__) == _PUBLIC_NAMES
+    assert "default_n_schedule" in wickchaos.limits.__all__
+    modules = (wickchaos.core, wickchaos.algebra, wickchaos.sampling, wickchaos.limits)
+    # each root name is one module itself or exported by exactly one module, as the same object
+    names = [m.__name__.removeprefix("wickchaos.") for m in modules] + [n for m in modules for n in m.__all__]
+    assert sorted(names) == _PUBLIC_NAMES
+    for m in modules:
+        for name in m.__all__:
+            assert getattr(wickchaos, name) is getattr(m, name), name
 
 
 def test_factorial_weights_fall_back_to_log_space():
