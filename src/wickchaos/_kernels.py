@@ -198,11 +198,12 @@ def eval_batch(exp_t, coefs, pts, normalized=False):
     nrows = 3 if list(map(min, rows)) == step else kcap + 1
     sqrts = np.sqrt(np.arange(kcap + 1, dtype=np.float64)).tolist() if normalized else None
     terms = list(zip(rows, coefs.tolist()))
-    chunk = max(1, min(EVAL_CHUNK_POINTS, EVAL_CHUNK_CELLS // (nrows * d)))
+    chunk = max(1, min(n, EVAL_CHUNK_POINTS, EVAL_CHUNK_CELLS // (nrows * d)))
+    # one table and scratch row for every chunk; the last chunk takes views
+    full_table, full_tmp = np.empty((d, nrows, chunk)), np.empty(chunk)
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
-        table = np.empty((d, nrows, hi - lo))
-        tmp, v = np.empty(hi - lo), out[lo:hi]
+        table, tmp, v = full_table[:, :, : hi - lo], full_tmp[: hi - lo], out[lo:hi]
         table[:, 0] = 1.0
         table[:, 1] = pts[lo:hi].T
         axes = [(table[i], pts[lo:hi, i], kmax[i]) for i in range(d)]

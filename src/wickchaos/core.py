@@ -327,7 +327,7 @@ def _union(x: ChaosExpansion, y: ChaosExpansion):
 
 
 def _check_dim(dim) -> int:
-    if not isinstance(dim, (int, np.integer)) or dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
         raise ValueError(f"dim must be a positive integer, got {dim!r}")
     return int(dim)
 

@@ -34,7 +34,7 @@ from .core import (
     gamma,
 )
 from .algebra import _dyadic_powers
-from .sampling import ks_critical_value, ks_statistic, sample_batch
+from .sampling import _ks_sorted, _slices, ks_critical_value, sample_batch
 
 __all__ = [
     "MEAN_EPS",
@@ -385,14 +385,18 @@ def limit_distribution_test(
     h1 = first_order_kernel(xn)
     hsq = float(h1 @ h1)
     batch = sample_batch(r, n_samples, seed)
-    values = batch.values
-    frac_nonpos = float(np.mean(values <= 0.0))
+    # one sorted copy: the values are finite, so the first k are the
+    # non-positive ones and the rest is the positive sample the KS needs
+    srt = np.sort(batch.values)
+    k = int(np.searchsorted(srt, 0.0, "right"))
     mu = -0.5 * hsq
-    concentration = float(np.mean(np.abs(values - 1.0) <= concentration_eps)) if hsq == 0.0 else None
-    pos = values[values > 0.0]
-    # log is monotone, so the lognormal statistic of pos is the normal one of
-    # log(pos) bit for bit: one sort, one log and one CDF pass give both fields
-    ks_ln = ks_statistic(pos, "lognormal", mu, math.sqrt(hsq)) if hsq != 0.0 and pos.shape[0] else None
+    concentration = None
+    if hsq == 0.0:
+        hits = sum(np.count_nonzero(np.abs(s - 1.0) <= concentration_eps) for _, s in _slices(srt))
+        concentration = hits / n_samples
+    # log is monotone, so the lognormal statistic of the positive tail is the
+    # normal one of its log bit for bit: one pass gives both fields
+    ks_ln = _ks_sorted(srt[k:], "lognormal", mu, math.sqrt(hsq)) if hsq != 0.0 and k < n_samples else None
     return DistributionReport(
         n=int(n),
         n_samples=n_samples,
@@ -401,7 +405,7 @@ def limit_distribution_test(
         target_sigma_sq=hsq,
         ks_lognormal=ks_ln,
         ks_log_normal=ks_ln,
-        frac_nonpositive=frac_nonpos,
+        frac_nonpositive=k / n_samples,
         concentration_at_one=concentration,
         concentration_eps=concentration_eps,
         batch=batch,

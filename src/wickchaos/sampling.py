@@ -43,6 +43,10 @@ NORMALIZED_RECURRENCE_DEGREE = 30
 
 GENERATOR_NAME = "numpy-pcg64-ziggurat"
 
+# Points per slice of the Gaussian draws and of the KS passes, so that no
+# temporary grows with the sample size.
+_SLICE = 1 << 16
+
 # Asymptotic one-sample KS critical point at the 5% level: 1.358 / sqrt(N).
 KS_COEFF_5PCT = 1.358
 
@@ -119,14 +123,31 @@ class SampleBatch:
     generator: str = GENERATOR_NAME
 
 
+def _slices(a):
+    """(lo, a[lo : lo + _SLICE]) for each slice of the array a."""
+    return ((lo, a[lo : lo + _SLICE]) for lo in range(0, len(a), _SLICE))
+
+
+def _evaluate_draws(x: ChaosExpansion, seed, m: int, point=lambda z: z) -> np.ndarray:
+    """X at point(z) for the rows z of rng.standard_normal((m, dim)), drawn _SLICE rows at a time.
+
+    Consecutive draws continue one ziggurat stream, so the slices are the
+    rows of the single (m, dim) draw bit for bit.
+    """
+    rng = np.random.default_rng(seed)
+    values = np.empty(m)
+    for lo in range(0, m, _SLICE):
+        z = rng.standard_normal((min(_SLICE, m - lo), x.dim))
+        values[lo : lo + len(z)] = _evaluate_points(x.exponents, x.coeffs, x.max_degree, point(z))
+    return values
+
+
 def sample_batch(x: ChaosExpansion, n_samples: int, seed: int) -> SampleBatch:
     """Draw n_samples Gaussian d-vectors from the seeded generator and evaluate X."""
     n_samples = int(n_samples)
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    rng = np.random.default_rng(seed)
-    pts = rng.standard_normal((n_samples, x.dim))
-    values = _evaluate_points(x.exponents, x.coeffs, x.max_degree, pts)
+    values = _evaluate_draws(x, seed, n_samples)
     values.setflags(write=False)
     return SampleBatch(
         values=values, seed=int(seed), size=n_samples, expansion_hash=expansion_hash(x)
@@ -161,18 +182,16 @@ def ou_apply_mc(x: ChaosExpansion, t: float, xi, n_draws: int, seed: int) -> OuE
     xi = _check_point(x, xi)
     if t == 0.0:
         return OuEstimate(value=evaluate(x, xi), std_error=0.0, n_draws=n_draws)
-    rng = np.random.default_rng(seed)
-    zeta = rng.standard_normal((n_draws, x.dim))
     decay = math.exp(-t)
     spread = math.sqrt(-math.expm1(-2.0 * t))  # sqrt(1 - e^-2t)
-    vals = _evaluate_points(x.exponents, x.coeffs, x.max_degree, decay * xi + spread * zeta)
+    vals = _evaluate_draws(x, seed, n_draws, lambda zeta: decay * xi + spread * zeta)
     value = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(n_draws)) if n_draws > 1 else 0.0
     return OuEstimate(value=value, std_error=se, n_draws=n_draws)
 
 
 def ks_statistic(samples, target: str, mu: float, sigma: float) -> float:
-    """One-sample Kolmogorov-Smirnov sup-distance against a normal or lognormal CDF."""
+    """One-sample Kolmogorov-Smirnov sup-distance against a normal or lognormal CDF; a NaN sample raises."""
     values = samples.values if isinstance(samples, SampleBatch) else np.asarray(samples, dtype=np.float64)
     n = values.shape[0]
     if n == 0:
@@ -182,14 +201,24 @@ def ks_statistic(samples, target: str, mu: float, sigma: float) -> float:
     if target not in ("normal", "lognormal"):
         raise ValueError(f"target must be 'normal' or 'lognormal', got {target!r}")
     x = np.sort(values)
-    if target == "lognormal":
-        if x[0] <= 0.0:
-            raise ValueError("non-positive sample under lognormal target")
-        x = np.log(x)
-    with np.errstate(over="ignore"):  # a |z| past float64 is inf, where the CDF is exactly 0 or 1
-        cdf = _ndtr((x - mu) / sigma)
-    i = np.arange(1, n + 1)
-    return float(max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n)))  # D+ and D-
+    if np.isnan(x[-1]):  # NaN sorts last
+        raise ValueError("NaN sample")
+    return _ks_sorted(x, target, mu, sigma)
+
+
+def _ks_sorted(x, target, mu, sigma):
+    """KS statistic of an ascending NaN-free sample, _SLICE points at a time (max is exact)."""
+    n = x.shape[0]
+    if target == "lognormal" and x[0] <= 0.0:
+        raise ValueError("non-positive sample under lognormal target")
+    d = 0.0  # D+ >= 1 - cdf(x[-1]) >= 0
+    for lo, s in _slices(x):
+        s = np.log(s) if target == "lognormal" else s
+        with np.errstate(over="ignore"):  # a |z| past float64 is inf, where the CDF is exactly 0 or 1
+            cdf = _ndtr((s - mu) / sigma)
+        i = np.arange(lo + 1, lo + s.shape[0] + 1)
+        d = max(d, np.max(i / n - cdf), np.max(cdf - (i - 1) / n))  # D+ and D-
+    return float(d)
 
 
 def _polevl(x, coefs):

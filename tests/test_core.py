@@ -72,6 +72,11 @@ def test_make_expansion_rejects_bad_input():
         make_expansion(1, [((True,), 2.0)])
     with pytest.raises(ValueError, match="positive integer"):
         make_expansion(0, [])
+    # True is an int, but not a dimension
+    with pytest.raises(ValueError, match="positive integer"):
+        make_expansion(True, {(1,): 1.0})
+    with pytest.raises(ValueError, match="positive integer"):
+        constant(True)
 
 
 def test_multi_index_factorial():
@@ -124,7 +129,7 @@ def test_multi_indexes_of_degree_lex_order():
     assert idx == sorted(idx)
 
 
-@pytest.mark.parametrize("dim, degree", [(1, -1), (3, -2), (0, 1), (1.5, 2), (-1, 0)])
+@pytest.mark.parametrize("dim, degree", [(1, -1), (3, -2), (0, 1), (1.5, 2), (-1, 0), (True, 1)])
 def test_multi_indexes_of_degree_rejects_bad_input(dim, degree):
     with pytest.raises(ValueError):
         list(multi_indexes_of_degree(dim, degree))

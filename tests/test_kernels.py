@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.polynomial.polynomial as P
@@ -248,3 +249,33 @@ def test_eval_batch_is_the_scalar_recurrence_bit_for_bit(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(_kernels, "EVAL_CHUNK_POINTS", 64)
             assert np.array_equal(_kernels.eval_batch(exp_t, coefs, pts, normalized), expected)
+
+
+# dim 2 past the normalized switchover: every row of the recurrence is kept
+_FULL_TABLE = np.array([[0, 0], [1, 0], [0, 1], [2, 3], [31, 2], [5, 34]])
+
+
+def test_eval_batch_chunks_are_the_single_pass(monkeypatch):
+    rng = np.random.default_rng(29)
+    coefs = rng.uniform(-1, 1, _FULL_TABLE.shape[0])
+    pts = rng.standard_normal((350, 2))
+    expected = _kernels.eval_batch(_FULL_TABLE, coefs, pts, True)  # one chunk
+    assert np.array_equal(expected, _reference_eval(_FULL_TABLE, coefs, pts, True))
+    # 35 rows on 2 axes: chunks of 100 points, the fourth one partial
+    monkeypatch.setattr(_kernels, "EVAL_CHUNK_CELLS", 35 * 2 * 100)
+    assert np.array_equal(_kernels.eval_batch(_FULL_TABLE, coefs, pts, True), expected)
+
+
+def test_eval_batch_holds_one_table(monkeypatch):
+    chunk = 2000
+    monkeypatch.setattr(_kernels, "EVAL_CHUNK_CELLS", 35 * 2 * chunk)
+    rng = np.random.default_rng(30)
+    coefs = rng.uniform(-1, 1, _FULL_TABLE.shape[0])
+    pts = rng.standard_normal((2 * chunk + 1500, 2))  # three chunks, the last one partial
+    tracemalloc.start()
+    try:
+        _kernels.eval_batch(_FULL_TABLE, coefs, pts, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * (35 * 2 * chunk + pts.shape[0])  # one table plus the output

@@ -1,6 +1,7 @@
 """Rescaled Wick powers: exact errors, certificates, and limit laws."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +30,7 @@ from wickchaos import (
     wick_power,
     write_convergence_csv,
 )
-from wickchaos import _kernels, limits
+from wickchaos import _kernels, limits, sampling
 from wickchaos.limits import _l2_distance_to_exponential
 
 X11 = univariate([1.0, 1.0])  # 1 + He1
@@ -680,3 +681,60 @@ def test_limit_distribution_ks_bits_are_pinned(x, n, n_samples, seed, ks_hex):
     # the KS statistic, normal CDF included, must keep the bits of scipy.special.ndtr's values
     rep = limit_distribution_test(x, n, n_samples, seed=seed)
     assert rep.ks_lognormal.hex() == ks_hex
+
+
+def _unsliced_report_fields(x, n, n_samples, seed, eps):
+    """limit_distribution_test's fields from one (N, dim) draw, a mask and a full-length KS pass."""
+    xn, r = limits._normalized_power(x, n)
+    h1 = first_order_kernel(xn)
+    hsq = float(h1 @ h1)
+    pts = np.random.default_rng(seed).standard_normal((n_samples, x.dim))
+    values = sampling._evaluate_points(r.exponents, r.coeffs, r.max_degree, pts)
+    mu = -0.5 * hsq
+    pos = values[values > 0.0]
+    ks = None
+    if hsq != 0.0 and pos.shape[0]:
+        z = np.log(np.sort(pos))
+        cdf = sampling._ndtr((z - mu) / math.sqrt(hsq))
+        i = np.arange(1, pos.shape[0] + 1)
+        ks = float(max(np.max(i / pos.shape[0] - cdf), np.max(cdf - (i - 1) / pos.shape[0])))
+    return {
+        "n": n, "n_samples": n_samples, "seed": seed, "target_mu": mu, "target_sigma_sq": hsq,
+        "ks_lognormal": ks, "ks_log_normal": ks, "frac_nonpositive": float(np.mean(values <= 0.0)),
+        "concentration_at_one": float(np.mean(np.abs(values - 1.0) <= eps)) if hsq == 0.0 else None,
+        "concentration_eps": eps, "values": values,
+    }
+
+
+@pytest.mark.parametrize(
+    "x, n",
+    [
+        (univariate([1.0, 1.5]), 2),  # about a third of the samples non-positive
+        (univariate([1.0, 0.0, 0.5]), 16),  # h1 = 0: the concentration at 1
+        (make_expansion(2, {(0, 0): 1.0, (1, 0): 0.3, (0, 1): -0.2, (1, 1): 0.1}), 8),
+    ],
+)
+def test_limit_distribution_slices_are_the_single_pass(x, n, monkeypatch):
+    expected = _unsliced_report_fields(x, n, 4321, 13, 0.05)
+    monkeypatch.setattr(sampling, "_SLICE", 1000)
+    rep = limit_distribution_test(x, n, 4321, seed=13, concentration_eps=0.05)
+    for name, value in expected.items():
+        if name == "values":
+            assert np.array_equal(rep.batch.values, value)
+        else:
+            assert getattr(rep, name) == value, name
+
+
+def test_limit_distribution_holds_the_values_and_one_sorted_copy(monkeypatch):
+    # every other temporary is bounded by a slice: 16 bytes per sample plus slack
+    monkeypatch.setattr(sampling, "_SLICE", 1 << 12)
+    n_samples = 1 << 17
+    x = univariate([1.0, 0.5])
+    limit_distribution_test(x, 8, 1000, seed=1)  # warm the caches the first call fills
+    tracemalloc.start()
+    try:
+        limit_distribution_test(x, 8, n_samples, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * n_samples

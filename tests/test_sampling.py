@@ -22,6 +22,7 @@ from wickchaos import (
     univariate,
     write_samples_csv,
 )
+from wickchaos import sampling
 from wickchaos.sampling import GENERATOR_NAME, HERMITE_DEGREE_CAP, _ndtr
 
 he1 = univariate([0.0, 1.0])
@@ -327,10 +328,72 @@ def test_ks_validation():
         ks_statistic(np.array([1.0]), "uniform", 0.0, 1.0)
 
 
+def test_ks_rejects_nan_and_accepts_infinities():
+    for target in ("normal", "lognormal"):
+        with pytest.raises(ValueError, match="NaN"):
+            ks_statistic([0.5, math.nan, 1.0, 2.0], target, 0.0, 1.0)
+    # the CDF is 0, 1/2 and 1 at -inf, 0 and inf
+    assert ks_statistic([-math.inf, 0.0, math.inf], "normal", 0.0, 1.0) == pytest.approx(1.0 / 3.0)
+    with_inf = [0.5, 1.0, math.inf]
+    assert ks_statistic(with_inf, "lognormal", 0.0, 1.0) == _unsliced_ks(with_inf, "lognormal", 0.0, 1.0)
+
+
 def test_ks_value_in_unit_interval():
     batch = sample_batch(univariate([0.3, 0.9]), 500, seed=14)
     d = ks_statistic(batch, "normal", 0.3, 0.9)
     assert 0.0 <= d <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# Slices of the draws and of the KS pass: the unsliced code is the oracle
+# ---------------------------------------------------------------------------
+
+
+def _unsliced_values(x, seed, m, point=lambda z: z):
+    z = np.random.default_rng(seed).standard_normal((m, x.dim))
+    return sampling._evaluate_points(x.exponents, x.coeffs, x.max_degree, point(z))
+
+
+def _unsliced_ks(values, target, mu, sigma):
+    x = np.sort(np.asarray(values, dtype=np.float64))
+    if target == "lognormal":
+        x = np.log(x)
+    with np.errstate(over="ignore"):
+        cdf = _ndtr((x - mu) / sigma)
+    n = x.shape[0]
+    i = np.arange(1, n + 1)
+    return float(max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n)))
+
+
+_SLICED_INPUTS = [
+    # degree 33: the normalized recurrence
+    make_expansion(1, {(0,): 1.0, (1,): 0.5, (3,): -0.2, (33,): 2.0**-20}),
+    make_expansion(2, {(0, 0): 1.0, (1, 0): 0.3, (0, 1): -0.2, (2, 1): 0.1}),
+    make_expansion(3, {(0, 0, 0): 1.0, (1, 0, 0): 0.3, (0, 1, 1): -0.2, (0, 0, 2): 0.1}),
+]
+
+
+def test_sample_batch_slices_are_the_single_draw(monkeypatch):
+    monkeypatch.setattr(sampling, "_SLICE", 1000)
+    for x in _SLICED_INPUTS:
+        assert np.array_equal(sample_batch(x, 4321, seed=7).values, _unsliced_values(x, 7, 4321))
+
+
+def test_ou_apply_mc_slices_are_the_single_draw(monkeypatch):
+    x, xi, t, n = _SLICED_INPUTS[1], np.array([0.4, -1.1]), 0.3, 4321
+    vals = _unsliced_values(x, 5, n, lambda z: math.exp(-t) * xi + math.sqrt(-math.expm1(-2.0 * t)) * z)
+    monkeypatch.setattr(sampling, "_SLICE", 1000)
+    est = ou_apply_mc(x, t, xi, n, seed=5)
+    assert est.value == float(np.mean(vals))
+    assert est.std_error == float(np.std(vals, ddof=1) / math.sqrt(n))
+
+
+def test_ks_slices_are_the_single_pass(monkeypatch):
+    monkeypatch.setattr(sampling, "_SLICE", 1000)
+    z = np.random.default_rng(8).standard_normal(4321)
+    for target, values in (("normal", z), ("lognormal", np.exp(0.9 * z + 0.1))):
+        for mu, sigma in ((0.1, 0.9), (0.0, 1.0), (0.5, 2.0)):
+            assert ks_statistic(values, target, mu, sigma) == _unsliced_ks(values, target, mu, sigma)
 
 
 # ---------------------------------------------------------------------------
