@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import operator
+import os
 import sys
 import warnings
 
@@ -139,6 +140,9 @@ def _cmd_converge(cfg, x) -> int:
 
 
 def _cmd_dist(cfg, x) -> int:
+    out, csv = os.path.realpath(cfg["out"]), cfg["samples_out"]
+    if out in (os.path.realpath(csv), os.path.realpath(f"{csv}.meta.json")):
+        raise ValueError(f"out {cfg['out']!r} is the samples CSV {csv!r} or its .meta.json sidecar")
     n_samples = cfg["samples"]
     if 1 <= n_samples < 1000:
         sys.stderr.write("warning: below minimum sample size 1000; statistics unreliable\n")

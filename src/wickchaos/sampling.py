@@ -11,6 +11,7 @@ seed; the generator name is recorded in all sample metadata.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -213,11 +214,14 @@ def _ks_sorted(x, target, mu, sigma):
         raise ValueError("non-positive sample under lognormal target")
     d = 0.0  # D+ >= 1 - cdf(x[-1]) >= 0
     for lo, s in _slices(x):
-        s = np.log(s) if target == "lognormal" else s
         with np.errstate(over="ignore"):  # a |z| past float64 is inf, where the CDF is exactly 0 or 1
-            cdf = _ndtr((s - mu) / sigma)
-        i = np.arange(lo + 1, lo + s.shape[0] + 1)
-        d = max(d, np.max(i / n - cdf), np.max(cdf - (i - 1) / n))  # D+ and D-
+            z = np.log(s) if target == "lognormal" else s.copy()
+            z -= mu
+            z /= sigma
+            cdf = _ndtr(z)
+        i = np.arange(lo, lo + s.shape[0] + 1, dtype=np.float64)
+        i /= n  # (i - 1)/n, then i/n for i = lo + 1, ...
+        d = max(d, np.max(np.subtract(i[1:], cdf, out=z)), np.max(np.subtract(cdf, i[:-1], out=cdf)))  # D+ and D-
     return float(d)
 
 
@@ -235,22 +239,32 @@ def _ndtr(a: np.ndarray) -> np.ndarray:
 
     With x = a/sqrt(2): 0.5 + 0.5 erf(x) for |x| < 1/sqrt(2), else 0.5 erfc(|x|), reflected for
     x > 0; erfc(z) is 1 - erf(z) below 1, e^(-z^2) P(z)/Q(z) below 8 and e^(-z^2) R(z)/S(z) above.
+    Temporaries are overwritten in place where that keeps the bits (products and sums commute exactly).
     """
     x = a * _SQRT1_2
-    z = np.abs(x)
-    y = np.empty_like(x)
-    inner = z < 1.0
-    t = x[inner]
-    erf = t * _polevl(t * t, _T) / _polevl(t * t, _U)
-    y[inner] = np.where(z[inner] < _SQRT1_2, 0.5 + 0.5 * erf, 0.5 * (1.0 - np.abs(erf)))
-    t = np.minimum(z[~inner], 27.0)  # 27^2 > MAXLOG: past the cut, where erfc is 0, the polynomials stay finite
+    y = np.abs(x)
+    inner, reflect = y < 1.0, x >= _SQRT1_2  # reflect: |x| >= 1/sqrt(2) and x > 0
+    # 27^2 > MAXLOG: past the cut, where erfc is 0, the polynomials stay finite
+    t, tail = x[inner], np.minimum(y[~inner], 27.0)
+    del x
+    tt = t * t
+    erf = _polevl(tt, _T)
+    erf *= t
+    erf /= _polevl(tt, _U)
+    del tt
+    w = np.abs(erf)  # 0.5 (1 - |erf|), or 0.5 + 0.5 erf below 1/sqrt(2)
+    np.multiply(np.subtract(1.0, w, out=w), 0.5, out=w)
+    np.copyto(w, np.add(np.multiply(erf, 0.5, out=erf), 0.5, out=erf), where=np.abs(t) < _SQRT1_2)
+    y[inner] = w
+    tt = tail * tail
     # libm's exp, which Cephes calls: np.exp differs from it in the last bit on ~1% of points
-    e = np.fromiter(map(math.exp, (-t * t).tolist()), np.float64, t.size)
-    e[t * t > _MAXLOG] = 0.0
-    near = t < 8.0
-    p = np.where(near, _polevl(t, _P), _polevl(t, _R))
-    y[~inner] = 0.5 * (e * p / np.where(near, _polevl(t, _Q), _polevl(t, _S)))
-    return np.subtract(1.0, y, out=y, where=(z >= _SQRT1_2) & (x > 0.0))
+    e = np.fromiter(map(math.exp, memoryview(np.negative(tt, out=tt))), np.float64, tail.size)
+    e[tt < -_MAXLOG] = 0.0
+    near = tail < 8.0
+    e *= np.where(near, _polevl(tail, _P), _polevl(tail, _R))
+    e /= np.where(near, _polevl(tail, _Q), _polevl(tail, _S))
+    y[~inner] = np.multiply(e, 0.5, out=e)
+    return np.subtract(1.0, y, out=y, where=reflect)
 
 
 def ks_critical_value(n_samples: int) -> float:
@@ -258,17 +272,142 @@ def ks_critical_value(n_samples: int) -> float:
     return KS_COEFF_5PCT / math.sqrt(n_samples)
 
 
+# The samples CSV holds Python's repr of each value, formatted in numpy: the shortest decimal that
+# rounds back to the value, the closest if several (R. Giulietti, "The Schubfach way to render doubles",
+# 2020). Lines per slice: more run faster, but the temporaries (about 370 B a line) would outgrow
+# those of one repr per value.
+_CSV_LINES = 1 << 11
+_POW10 = np.array([10**i for i in range(19)], dtype=np.uint64)
+
+
+@functools.cache  # built on first use, not at import
+def _csv_tables():
+    """Per decimal exponent k in [-324, 292]: g0, g1 (g = g1 2^63 + g0) in 32-bit halves, g1 and r + 127
+    (g ~ 10^-k 2^-r). Per layout key: the line's length after the comma, each character's offset from
+    the value's first (the newline's drops it). Per decimal point: the exponent's sign and three digits."""
+    g = []
+    for k in range(-324, 293):  # g = floor(10^-k 2^-r) + 1 in [2^125, 2^126), in Python ints
+        p = 10 ** abs(k)
+        r = p.bit_length() - 126 if k <= 0 else -p.bit_length() - 125
+        gk = ((p << -r if r < 0 else p >> r) if k <= 0 else (1 << -r) // p) + 1
+        g1, g0 = gk >> 63, gk & (2**63 - 1)
+        g.append((g0 >> 32, g1 >> 32, g0 & 0xFFFFFFFF, g1 & 0xFFFFFFFF, g1, (r + 127) % 2**64))
+    tab = np.array(g, np.uint64).T.copy()
+    offsets = []
+    for key in range(374):  # 17 (point + 3) + digits - 1 in fixed notation, 340 + 2 (digits - 1) + (|exponent| > 99)
+        sci, big = key >= 340, key >= 340 and key % 2
+        point, nd = (1, (key - 340) // 2 + 1) if sci else (key // 17 - 3, key % 17 + 1)
+        shift, e = max(0, 1 - point), nd + (nd > 1)  # the zeros of "0.00"; where 'e' goes
+        end = e + 4 + big if sci else max(nd, point) + 1 + shift + (point >= nd)
+        exponent = [e, e + 1, e + 2 if big else end, e + 2 + big, e + 3 + big] if sci else [end] * 5
+        digits = [j + (j >= point) + shift if j < nd else end for j in range(16, -1, -1)]
+        offsets.append([end + 1] + digits + [end if sci and nd == 1 else max(point, 1), -1] + exponent)
+    point = np.arange(-330, 330)
+    e = np.abs(point - 1)
+    exps = np.array([np.where(point < 1, 45, 43), e // 100 + 48, e // 10 % 10 + 48, e % 10 + 48], np.uint8)
+    return tab, np.array(offsets).T.copy(), exps
+
+
+def _schubfach(bits):
+    """(d, k): d 10^k is the shortest decimal that rounds to the float64 with these bits, the closest if
+    several (even on a tie); garbage for 0, inf and nan. Unlike Java's, it forces no second digit (5e-324)."""
+    frac, bq = bits & np.uint64(2**52 - 1), ((bits >> np.uint64(52)) & np.uint64(2047)).view(np.int64)
+    irregular = (frac == 0) & (bq > 1)  # a power of two past the subnormals: its lower gap is half
+    q = np.maximum(bq, 1) - 1075
+    k = (q * 661971961083 - irregular * 274743187321) >> 41  # floor(log10(2^q)), or of (3/4) 2^q
+    tab = np.take(_csv_tables()[0], k + 324, axis=1)
+    h = (q + tab[5].view(np.int64)).view(np.uint64)
+    c = (frac | (bq > 0) * np.uint64(2**52)) << (h + np.uint64(2))
+    # 4 2^h times the lower end of the rounding interval, the value, the upper end
+    cp = np.stack([c - ((np.uint64(2) - irregular) << h), c, c + (np.uint64(2) << h)])
+    z, c1, c0 = tab[4] * cp, cp >> np.uint64(32), cp & np.uint64(2**32 - 1)
+    del cp
+    x = tab[2:4, None] * c0  # the high 64 bits of g0 cp and g1 cp from 32-bit halves (numpy has no uint128)
+    x >>= np.uint64(32)
+    x += tab[2:4, None] * c1
+    x += tab[0:2, None] * c0
+    x >>= np.uint64(32)
+    x += tab[0:2, None] * c1
+    z >>= np.uint64(1)
+    z += x[0]
+    y = x[1] + (z >> np.uint64(63))
+    y |= (z << np.uint64(1)) != 0  # round to odd: vb is 4 v 10^-k, vbl and vbr its interval's ends
+    vbl, vb, vbr = y
+    odd = bits & np.uint64(1)  # an odd significand leaves the ends out
+    vbl += odd
+    vbr -= odd
+    s, s4 = vb >> np.uint64(2), vb & np.uint64(2**64 - 4)
+    # s or s + 1, whichever lies in the interval; if both, the closer, or the even one on a tie
+    d = s + ((vbl > s4) | ((s4 + np.uint64(4) <= vbr) & ((vb & np.uint64(3)) + (s & np.uint64(1)) >= 3)))
+    sp4 = s // np.uint64(10) * np.uint64(40)  # a digit fewer where one multiple of 10 around s is in it
+    upin = vbl <= sp4
+    d = np.where(upin != (sp4 + np.uint64(40) <= vbr), (sp4 >> np.uint64(2)) + np.uint64(10) * ~upin, d)
+    return d, k
+
+
+def _digit_chars(f, out):
+    """The last len(out) <= 18 decimal digits of f < 10^18 (uint64) as characters into out, the last first."""
+    q = np.empty((2, min(len(out), 9) + 1, len(f)), np.uint32)  # q[:, m] = (f mod 10^9, f // 10^9) // 10^m
+    q[1, 0], q[0, 0] = np.divmod(f, np.uint64(10**9))
+    for m in range(q.shape[1] - 1):
+        np.floor_divide(q[:, m], np.uint32(10), out=q[:, m + 1])
+    digits = q[:, :-1] - q[:, 1:] * np.uint32(10)
+    np.add(digits.reshape(-1, len(f))[: len(out)], 48, out=out, casting="unsafe")
+
+
+def _csv_lines(v, lo):
+    """The bytes of f"{i},{v[i - lo]!r}\\n" for i = lo, lo + 1, ...: one buffer prefilled with '0', the
+    characters scattered in (a dropped one onto its line's newline, written last)."""
+    _, offsets, exps = _csv_tables()
+    n, bits = len(v), v.view(np.uint64)
+    chars = np.empty((24, n), np.uint8)  # 17 digits, '.', '-' or ',', 'e', the exponent's sign and digits
+    d, k = _schubfach(bits)
+    nlen = np.searchsorted(_POW10, d, "right")
+    _digit_chars(d * _POW10[17 - nlen], chars[:17])  # repr's value is 0.d1d2... 10^point
+    nd, point = 17 - np.argmax(chars[:17] != 48, axis=0), k + nlen
+    del d, k, nlen
+    sign, nonfinite = (bits >> np.uint64(63)).view(np.int64), ~np.isfinite(v)
+    odd = nonfinite | (v == 0.0)
+    if odd.any():  # +-0.0 is the digit 0 with the point after it; inf and nan are patched in below
+        chars[:17, odd], nd[odd], point[odd], sign[np.isnan(v)] = 48, 1, 1, 0
+    sci = (point <= -4) | (point > 16)  # Python's repr: 1e-05 and 1e+16, but 0.0001 and 1000000000000000.0
+    rows = 24 if sci.any() else 19
+    key = np.where(sci, 338 + 2 * nd + (np.abs(point - 1) > 99), 17 * point + 50 + nd)
+    pos = np.take(offsets[: rows + 1], key, axis=1)
+    idx = np.arange(lo, lo + n)
+    ni = np.searchsorted(_POW10[1:].view(np.int64), idx, "right") + 1
+    length = ni + 1 + sign + pos[0]
+    end = np.cumsum(length)
+    comma = end - length + ni
+    buf = np.full(end[-1], 48, np.uint8)
+    pos = pos[1:]
+    pos += comma + 1 + sign
+    chars[17] = 46
+    np.add(sign, 44, out=chars[18], casting="unsafe")
+    if rows > 19:
+        chars[19] = 101
+        np.take(exps, point + 330, axis=1, out=chars[20:])
+    buf[pos.ravel()] = chars[:rows].ravel()
+    del pos, chars
+    chars = np.empty((len(str(lo + n - 1)), n), np.uint8)
+    _digit_chars(idx.view(np.uint64), chars)
+    m1 = np.arange(1, len(chars) + 1)[:, None]
+    buf[(comma - m1 * (m1 <= ni)).ravel()] = chars.ravel()
+    buf[end - 1] = 10
+    buf[comma] = 44
+    for i in np.flatnonzero(nonfinite).tolist():
+        buf[comma[i] + 1 + sign[i] :][:3] = np.frombuffer(b"nan" if np.isnan(v[i]) else b"inf", np.uint8)
+    return buf
+
+
 def write_samples_csv(batch: SampleBatch, path, tool_version: str = "") -> None:
-    """Write samples as 'index,value' CSV plus a JSON metadata sidecar."""
-    with open(path, "w", newline="\n") as fh:
-        if tool_version:
-            fh.write(f"# tool: wickchaos {tool_version}\n")
-        fh.write(f"# seed: {batch.seed}\n")
-        fh.write(f"# expansion-hash: {batch.expansion_hash}\n")
-        fh.write("index,value\n")
-        # in slices, so a large batch never exists as python floats all at once
-        for lo in range(0, len(batch.values), 8192):
-            fh.write("".join([f"{i},{v!r}\n" for i, v in enumerate(batch.values[lo : lo + 8192].tolist(), lo)]))
+    """Write samples as 'index,value' CSV plus a JSON metadata sidecar; each value is its Python repr."""
+    values = np.ascontiguousarray(batch.values, dtype=np.float64)
+    with open(path, "wb") as fh:
+        tool = f"# tool: wickchaos {tool_version}\n" if tool_version else ""
+        fh.write(f"{tool}# seed: {batch.seed}\n# expansion-hash: {batch.expansion_hash}\nindex,value\n".encode())
+        for lo in range(0, len(values), _CSV_LINES):
+            fh.write(_csv_lines(values[lo : lo + _CSV_LINES], lo))
     meta = {
         "seed": batch.seed,
         "N": batch.size,

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import json
 import os
 import subprocess
@@ -136,6 +137,42 @@ def test_dist_rerun_is_byte_identical(tmp_path, capsys):
     for key in ("n", "N", "seed", "ks_lognormal", "ks_log_normal", "frac_nonpositive", "target_mu", "target_sigma_sq"):
         assert key in report
     capsys.readouterr()
+
+
+def test_dist_default_outputs_are_pinned(tmp_path, monkeypatch, capsys):
+    # 1e5 samples of 1 + 0.5 He1 at n = 64, seed 42: the report, the CSV, its sidecar and stdout
+    monkeypatch.chdir(tmp_path)
+    assert main(["dist"]) == 0
+    pins = {
+        "dist.json": "11534cd42d9cddd264eac44d27d63e7fb93ef2b91621dc4d8d303bb359f22ba0",
+        "samples.csv": "403944673fd21dbe0cf9a5bf18162ca5504631a557de4b0313069cf79a0ae39b",
+        "samples.csv.meta.json": "231d8ed7d24b9bf34acd162e10234975a2b6cc8aea3986f52159a57a5b06b997",
+    }
+    for name, digest in pins.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+    stdout = capsys.readouterr().out.encode()
+    assert hashlib.sha256(stdout).hexdigest() == "f2e133da76e6d212368675007e7d9ee9309df222cb1483788841825a2d769a1c"
+
+
+@pytest.mark.parametrize(
+    "out, samples_out",
+    [("x", "x"), ("s.csv.meta.json", "s.csv"), ("./s.csv", "{tmp}/s.csv"), ("sub/../s.csv", "s.csv")],
+)
+@pytest.mark.parametrize("via", ["flags", "config"])
+def test_dist_report_onto_its_samples_exits_2(out, samples_out, via, tmp_path, monkeypatch, capsys):
+    # the report would overwrite the CSV or its sidecar, or be overwritten by them
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    paths = {"out": out, "samples_out": samples_out.format(tmp=tmp_path)}
+    if via == "flags":
+        args = ["--out", paths["out"], "--samples-out", paths["samples_out"]]
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps(paths))
+        args = ["--config", "cfg.json"]
+    assert main(["dist", "--samples", "1000"] + args) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["cfg.json", "sub"] if via == "config" else ["sub"])
 
 
 @pytest.mark.filterwarnings("error")

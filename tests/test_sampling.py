@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -442,3 +443,93 @@ def test_samples_csv_bytes_are_pinned(dim, entries, digest, tmp_path):
     path = tmp_path / "samples.csv"
     write_samples_csv(sample_batch(make_expansion(dim, entries), 20000, seed=17), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# The samples CSV: the writer's old per-value repr loop is the oracle
+# ---------------------------------------------------------------------------
+
+
+def _write_samples_csv_by_repr(batch, path, tool_version=""):
+    """The writer before the vectorized formatter: one repr per value, 8192 lines at a time."""
+    with open(path, "w", newline="\n") as fh:
+        if tool_version:
+            fh.write(f"# tool: wickchaos {tool_version}\n")
+        fh.write(f"# seed: {batch.seed}\n")
+        fh.write(f"# expansion-hash: {batch.expansion_hash}\n")
+        fh.write("index,value\n")
+        for lo in range(0, len(batch.values), 8192):
+            fh.write("".join([f"{i},{v!r}\n" for i, v in enumerate(batch.values[lo : lo + 8192].tolist(), lo)]))
+
+
+def _repr_lines(values, lo=0):
+    return "".join([f"{i},{v!r}\n" for i, v in enumerate(values.tolist(), lo)]).encode()
+
+
+def _formatted_lines(values, lo=0):
+    step = sampling._CSV_LINES
+    return b"".join(sampling._csv_lines(values[i : i + step], lo + i).tobytes() for i in range(0, len(values), step))
+
+
+def _with_signs(values):
+    values = np.asarray(values, dtype=np.float64)
+    return np.concatenate([values, -values])
+
+
+def test_csv_lines_are_repr_of_random_bit_patterns():
+    # every sign, exponent and fraction, nan payloads and infinities included
+    bits = np.random.default_rng(41).integers(0, 2**64, 1_000_000, dtype=np.uint64)
+    values = bits.view(np.float64)
+    assert _formatted_lines(values) == _repr_lines(values)
+
+
+def test_csv_lines_are_repr_at_the_edges():
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    integers = np.concatenate([np.arange(2**53 - 2000, 2**53 + 2000, 2), np.arange(0, 3000)]).astype(np.float64)
+    values = _with_signs(np.concatenate([
+        powers, np.nextafter(powers, np.inf), np.nextafter(powers, 0.0),  # every power of two and its neighbours
+        [5e-324, 1e-323, 8e-323, 2.2250738585072014e-308, 2.225073858507201e-308, 1.7976931348623157e308],
+        integers,
+        # the notation switches: 1e-05 and 1e+16 in scientific, 0.0001 and 9999999999999998.0 fixed
+        [1e-05, 0.0001, 0.00012, 9.999999999999999e-05, 1e16, 9999999999999998.0, 1e17, 123456789012345680.0],
+        [1e100, 1.5e-100, 1e-99, 1e99, 1.25e-300, 3e300],  # and exponents of three digits
+        [0.1, 0.5, 1.0, 100.0, 123.456, 1 / 3],
+    ]))
+    assert _formatted_lines(values) == _repr_lines(values)
+
+
+def test_csv_lines_index_widths_across_slices(monkeypatch):
+    values = np.random.default_rng(42).standard_normal(40) * 10.0 ** np.arange(-20, 20)
+    for lines in (sampling._CSV_LINES, 7):
+        monkeypatch.setattr(sampling, "_CSV_LINES", lines)
+        for lo in (0, 99_990, 10**9 - 20, 10**12 - 3):  # across 9 -> 10, 99999 -> 100000, 10^9 and 10^12
+            assert _formatted_lines(values, lo) == _repr_lines(values, lo)
+
+
+def test_samples_csv_is_the_repr_writer_across_slices(tmp_path, monkeypatch):
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -1e-05, 1e16]
+    values = np.concatenate([special, np.random.default_rng(43).standard_normal(30), special])
+    batch = sampling.SampleBatch(values=values, seed=9, size=len(values), expansion_hash="0123456789abcdef")
+    monkeypatch.setattr(sampling, "_CSV_LINES", 7)  # slice boundaries throughout, the index 9 -> 10 inside one
+    write_samples_csv(batch, tmp_path / "a.csv", tool_version="0.1.0")
+    _write_samples_csv_by_repr(batch, tmp_path / "b.csv", tool_version="0.1.0")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def _peak_bytes(write, batch, path):
+    tracemalloc.start()
+    try:
+        write(batch, path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_samples_csv_memory_is_bounded(tmp_path):
+    x = univariate([1.0, 0.5])
+    small, large = sample_batch(x, 2**15, seed=3), sample_batch(x, 2**17, seed=3)
+    write_samples_csv(small, tmp_path / "s.csv")  # the tables are built on first use
+    peak = _peak_bytes(write_samples_csv, large, tmp_path / "s.csv")
+    # the repr writer peaks in one 8192-line slice: a little lower at 2^15 samples than at 2^17
+    assert peak <= _peak_bytes(_write_samples_csv_by_repr, small, tmp_path / "r.csv")
+    assert peak <= 1.05 * _peak_bytes(write_samples_csv, small, tmp_path / "s.csv")  # no temporary grows with N
