@@ -38,7 +38,8 @@ EVAL_CHUNK_POINTS = 1 << 15
 
 def _grid(exp_x, exp_y):
     """Mixed-radix layout of the sumset grid for a pair of term tables."""
-    radix = exp_x.max(axis=0) + exp_y.max(axis=0) + 1
+    top_x = exp_x.max(axis=0)
+    radix = top_x + (top_x if exp_y is exp_x else exp_y.max(axis=0)) + 1
     strides = np.empty(radix.shape[0], dtype=np.int64)
     cells = 1
     for i in range(radix.shape[0] - 1, -1, -1):
@@ -69,16 +70,17 @@ def _extract(acc, radix):
 # The grid radix on every axis exceeds max_x + max_y, so mixed-radix codes add
 # without carries: code(beta) + code(gamma) = code(beta + gamma). A 1-D
 # convolution of the two tables scattered densely by code therefore lands every
-# product in its cell and nothing else there.
+# product in its cell and nothing else there. A square (the same arrays on both
+# sides) builds its maximum, codes and dense vector once.
 # ---------------------------------------------------------------------------
 
 
 def _convolve_acc(code_x, cx, code_y, cy, acc):
     span_x = int(code_x.max()) + 1
-    span_y = int(code_y.max()) + 1
+    span_y = span_x if code_y is code_x else int(code_y.max()) + 1
     if span_x * span_y <= _DENSE_FACTOR * code_x.shape[0] * code_y.shape[0]:
         dense_x = np.bincount(code_x, weights=cx, minlength=span_x)
-        dense_y = np.bincount(code_y, weights=cy, minlength=span_y)
+        dense_y = dense_x if code_y is code_x and cy is cx else np.bincount(code_y, weights=cy, minlength=span_y)
         acc[: span_x + span_y - 1] += np.convolve(dense_x, dense_y)
     else:
         # unbuffered, so every product lands in (x row, y row) order
@@ -150,7 +152,8 @@ def _product_terms(exp_x, cx, exp_y, cy, max_r):
         return np.empty((0, d), dtype=np.int64), np.empty(0)
     radix, strides, cells = _grid(exp_x, exp_y)
     acc = np.zeros(cells)
-    _convolve_acc(exp_x @ strides, cx, exp_y @ strides, cy, acc)
+    code_x = exp_x @ strides
+    _convolve_acc(code_x, cx, code_x if exp_y is exp_x else exp_y @ strides, cy, acc)
     if max_r != 0:
         _contraction_acc(exp_x, cx, exp_y, cy, strides, max_r, acc)
     return _extract(acc, radix)

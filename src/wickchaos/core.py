@@ -104,22 +104,26 @@ def _log_factorial(k):
     The log of the exact table up to 170!, Stirling's series through the
     1/(1260 k^5) term above (the next term is below 1.4e-19 there).
     """
-    big = np.maximum(k, MAX_EXACT_FACTORIAL + 1).astype(np.float64)
-    inv = 1.0 / big
-    inv2 = inv * inv
-    log_big = np.log(big)
-    stirling = big * (log_big - 1.0) + (
-        0.5 * log_big + _HALF_LOG_2PI + inv * (1.0 / 12.0 - inv2 * (1.0 / 360.0 - inv2 / 1260.0))
-    )
-    return np.where(k <= MAX_EXACT_FACTORIAL, _LOG_FACTORIALS[np.minimum(k, MAX_EXACT_FACTORIAL)], stirling)
+    out = _LOG_FACTORIALS[np.minimum(k, MAX_EXACT_FACTORIAL)]
+    big = k > MAX_EXACT_FACTORIAL
+    if big.any():
+        b = k[big].astype(np.float64)
+        inv = 1.0 / b
+        inv2 = inv * inv
+        log_b = np.log(b)
+        out[big] = b * (log_b - 1.0) + (
+            0.5 * log_b + _HALF_LOG_2PI + inv * (1.0 / 12.0 - inv2 * (1.0 / 360.0 - inv2 / 1260.0))
+        )
+    return out
 
 
 def _factorial_weighted(exponents, factors, power):
     """Per-term (alpha!)**power * prod(factors), power 1 or 0.5.
 
-    The direct product is exact for desk-scale terms; entries where it
-    overflows, or underflows to 0 from nonzero factors, are recomputed in log
-    space (~1 ulp of the exponent).
+    The factors are (m,) arrays, or (k, m) arrays for k tables over the same
+    rows, each row weighed once. The direct product is exact for desk-scale
+    terms; entries where it overflows, or underflows to 0 from nonzero
+    factors, are recomputed in log space (~1 ulp of the exponent).
     """
     table = FACTORIALS if power == 1 else _SQRT_FACTORIALS
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
@@ -132,13 +136,17 @@ def _factorial_weighted(exponents, factors, power):
         direct = w * product
         bad = ~np.isfinite(direct) | ((direct == 0.0) & nonzero)
         if bad.any():
-            log_abs = power * _log_factorial(exponents[bad]).sum(axis=1)
+            at = np.flatnonzero(bad)  # entry i of the flattened tables is on row i % m
+            rows = bad.reshape(-1, w.shape[0]).any(axis=0)
+            log_w = np.zeros(w.shape[0])
+            log_w[rows] = power * _log_factorial(exponents[rows]).sum(axis=1)
+            log_abs = log_w[at % w.shape[0]]
             sign = 1.0
             for f in factors:
-                f = f[bad]
+                f = f.reshape(-1)[at]
                 log_abs = log_abs + np.log(np.abs(f))
                 sign = sign * np.sign(f)
-            direct[bad] = sign * np.exp(log_abs)
+            direct.reshape(-1)[at] = sign * np.exp(log_abs)
     return direct
 
 
@@ -148,26 +156,19 @@ _EXP_TAIL_MAX_TERMS = 100000
 
 
 def _power_tables(h: np.ndarray, degree: int) -> np.ndarray:
-    """tables[i, e] = h_i^e / e! for e = 0..degree, by the forward product of h_i / e."""
+    """tables[i, e] = h_i^e / e! for e = 0..degree, by the forward product of h_i / e
+    (a longer table's prefix is the shorter table bit for bit)."""
     ratios = np.empty((h.shape[0], degree + 1))
     ratios[:, 0] = 1.0
     np.divide(h[:, None], np.arange(1.0, degree + 1.0), out=ratios[:, 1:])
-    return np.multiply.accumulate(ratios, axis=1, out=ratios)
-
-
-def _exp_series(hsq: float, degree: int):
-    """Terms hsq^k / k! for k = 0..degree, and the tail sum_{k > degree} hsq^k / k!.
-
-    Both follow the forward recurrence term_k = term_{k-1} * (hsq / k); the
-    tail adds terms (all positive) until one is 0 or below 1e-18 of the sum.
-    Raises ValueError when the tail is not finite in float64.
-    """
-    ratios = np.empty(degree + 1)
-    ratios[0] = 1.0
-    np.divide(hsq, np.arange(1.0, degree + 1.0), out=ratios[1:])
     with np.errstate(over="ignore"):
-        terms = np.multiply.accumulate(ratios, out=ratios)
-    term = float(terms[-1])
+        return np.multiply.accumulate(ratios, axis=1, out=ratios)
+
+
+def _exp_tail(hsq: float, degree: int, term: float) -> float:
+    """sum_{k > degree} hsq^k / k! by term_k = term_{k-1} * (hsq / k) from term = hsq^degree / degree!,
+    adding terms (all positive) until one is 0 or below 1e-18 of the sum. Raises
+    ValueError when the tail is not finite in float64."""
     tail = 0.0
     for k in range(degree + 1, degree + 1 + _EXP_TAIL_MAX_TERMS):
         term *= hsq / k
@@ -175,11 +176,17 @@ def _exp_series(hsq: float, degree: int):
         if not math.isfinite(tail):
             break
         if term == 0.0 or term < tail * 1e-18:
-            return terms, tail
+            return tail
     raise ValueError(
         f"exponential-series tail past degree {degree} does not converge in float64 "
         f"for |h|^2 = {hsq!r}"
     )
+
+
+def _exp_series(hsq: float, degree: int):
+    """Terms hsq^k / k! for k = 0..degree (a power table of hsq), and the tail sum_{k > degree} hsq^k / k!."""
+    terms = _power_tables(np.array([hsq]), degree)[0]
+    return terms, _exp_tail(hsq, degree, float(terms[-1]))
 
 
 class ChaosExpansion:
@@ -207,24 +214,28 @@ class ChaosExpansion:
         """Canonical expansion from a term table whose rows are lex-ordered within each degree.
 
         Kernel products (code order), _union and the scalar ops all give such
-        rows, so one stable sort by degree yields the (degree, lex) order;
-        make_expansion pre-sorts arbitrary input with grade_lex_order.
+        rows, so one stable sort by degree (none when they ascend) yields the
+        (degree, lex) order; make_expansion pre-sorts arbitrary input with
+        grade_lex_order. The given arrays may be kept, made read-only: callers
+        pass fresh ones or another expansion's.
         """
         exponents = np.ascontiguousarray(exponents, dtype=np.int64).reshape(-1, dim)
         coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
-        if not np.isfinite(coeffs).all():
+        if np.count_nonzero(np.isfinite(coeffs)) < coeffs.shape[0]:
             raise ValueError("non-finite coefficient")
         keep = np.abs(coeffs) >= PRUNE_EPS
-        if not keep.all():
+        if np.count_nonzero(keep) < keep.shape[0]:
             exponents = exponents[keep]
             coeffs = coeffs[keep]
         degrees = _degrees(exponents)
-        order = degrees.argsort(kind="stable")
-        exponents = exponents.take(order, axis=0)
-        coeffs = coeffs.take(order)
+        if np.count_nonzero(degrees[1:] < degrees[:-1]):
+            order = degrees.argsort(kind="stable")
+            exponents = exponents.take(order, axis=0)
+            coeffs = coeffs.take(order)
+            degrees = degrees.take(order)
         exponents.setflags(write=False)
         coeffs.setflags(write=False)
-        return cls(dim, exponents, coeffs, degrees.take(order), _trusted=True)
+        return cls(dim, exponents, coeffs, degrees, _trusted=True)
 
     @property
     def n_terms(self) -> int:

@@ -19,6 +19,7 @@ import json
 import math
 import operator
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -26,12 +27,12 @@ import numpy as np
 
 from .core import (
     ChaosExpansion,
-    _exp_series,
+    PRUNE_EPS,
+    _exp_tail,
     _factorial_weighted,
     _power_tables,
     expansion_hash,
     first_order_kernel,
-    gamma,
 )
 from .algebra import _dyadic_powers
 from .sampling import _ks_sorted, _slices, ks_critical_value, sample_batch
@@ -99,8 +100,12 @@ def _multiset_counts(k, s_minus_1):
     return m
 
 
+# rows in (degree, lex) order that the distance pass reads as an expansion's; max_degree bounds their degrees
+_Rows = namedtuple("_Rows", "exponents coeffs degrees max_degree")
+
+
 def _l2_distance_to_exponential(parts) -> list[float]:
-    """Exact ||X - E(h)|| for each (X, h, support_degree) in parts, all X of one dim.
+    """Exact ||X - E(h)|| for each (X, h, support_degree) in parts, all X (expansions or _Rows) of one dim.
 
     E(h) carries h^alpha / alpha! at every alpha. With D = max(support_degree,
     X.max_degree) the squared distance is
@@ -112,30 +117,41 @@ def _l2_distance_to_exponential(parts) -> list[float]:
         alpha of degree k over supp h is stored,
       + the closed-form tail sum_{k > D} |h|^(2k) / k!.
     The parts' rows are concatenated, so the number of numpy calls does not grow
-    with len(parts) except for each part's series and its two slice sums; every
-    value is the one a single-part call gives, bit for bit.
+    with len(parts) except for each part's two slice sums; every value is the
+    one a single-part call gives, bit for bit.
     """
     xs = [x for x, _, _ in parts]
-    dim = xs[0].dim
+    dim = xs[0].exponents.shape[1]
     h = np.array([hv for _, hv, _ in parts], dtype=np.float64)
-    part = np.arange(len(parts)).repeat([x.n_terms for x in xs])
+    part = np.arange(len(parts)).repeat([x.coeffs.shape[0] for x in xs])
     exps = np.concatenate([x.exponents for x in xs])
-    # a prefix of a longer cumprod is the shorter table bit for bit; the table
-    # entries are NaN at h_i = 0 for e >= 1, which marks the rows using a
-    # coordinate outside supp h, where t is 0
+    # the table entries are NaN at h_i = 0 for e >= 1, which marks the rows
+    # using a coordinate outside supp h, where t is 0
     marked = np.where(h == 0.0, np.nan, h).reshape(-1)
     tables = _power_tables(marked, max(x.max_degree for x in xs)).reshape(len(parts), dim, -1)
     t = tables[part[:, None], np.arange(dim), exps].prod(axis=1)
     on_support = ~np.isnan(t)
     t[~on_support] = 0.0
-    both = np.concatenate((np.concatenate([x.coeffs for x in xs]) - t, t))
-    weighted = _factorial_weighted(np.concatenate((exps, exps)), (both, both), 1)
-    diff_sq, target_sq = weighted[: exps.shape[0]], weighted[exps.shape[0] :]
+    both = np.concatenate((np.concatenate([x.coeffs for x in xs]) - t, t)).reshape(2, -1)
+    diff_sq, target_sq = _factorial_weighted(exps, (both, both), 1)
 
-    # every part's series terms, degree k of part p at masses[starts[p] + k]
-    series = [_exp_series(float(hv @ hv), max(int(d), x.max_degree)) for x, hv, d in parts]
-    masses = np.concatenate([terms for terms, _ in series])
-    lengths = [terms.shape[0] for terms, _ in series]
+    # one exponential series |h|^(2k) / k! per distinct |h|^2, as long as its
+    # longest part needs, those of one length from one call; each part takes a
+    # prefix, and its tail continues from the prefix's last term
+    hsqs = [float(hv @ hv) for _, hv, _ in parts]
+    tops = [max(int(d), x.max_degree) for x, _, d in parts]
+    longest = {}
+    for hsq, top in zip(hsqs, tops):
+        longest[hsq] = max(longest.get(hsq, 0), top)
+    series = {}
+    for top in set(longest.values()):
+        group = [hsq for hsq in longest if longest[hsq] == top]
+        series.update(zip(group, _power_tables(np.array(group), top)))
+    prefixes = [series[hsq][: top + 1] for hsq, top in zip(hsqs, tops)]
+    tails = [_exp_tail(hsq, top, float(terms[-1])) for hsq, top, terms in zip(hsqs, tops, prefixes)]
+    # degree k of part p at masses[starts[p] + k]
+    masses = np.concatenate(prefixes)
+    lengths = [top + 1 for top in tops]
     starts = np.array(list(accumulate(lengths[:-1], initial=0)))
     slots = starts[part] + np.concatenate([x.degrees for x in xs])
     stored = np.bincount(slots, weights=target_sq, minlength=masses.shape[0])
@@ -152,8 +168,8 @@ def _l2_distance_to_exponential(parts) -> list[float]:
     # sums sequentially and changes bits)
     out = []
     r0 = m0 = 0
-    for x, (_, tail), length in zip(xs, series, lengths):
-        r1, m1 = r0 + x.n_terms, m0 + length
+    for x, tail, length in zip(xs, tails, lengths):
+        r1, m1 = r0 + x.coeffs.shape[0], m0 + length
         out.append(math.sqrt(float(diff_sq[r0:r1].sum()) + float(masses[m0:m1].sum()) + tail))
         r0, m0 = r1, m1
     return out
@@ -196,7 +212,8 @@ def proof_bound_factors(x: ChaosExpansion, n: int) -> BoundFactors:
     if n < 2:
         raise ValueError("the certificate is defined for n >= 2")
     xn = _normalized(x)
-    return _bound_factors(xn, first_order_kernel(xn), [n])[0]
+    h1 = first_order_kernel(xn)
+    return _bound_factors(xn, h1, [n], _l2_distance_to_exponential(_middle_parts(xn, h1, [n])))[0]
 
 
 def _exp_or_inf(f, value: float) -> float:
@@ -206,15 +223,26 @@ def _exp_or_inf(f, value: float) -> float:
         return math.inf
 
 
-def _bound_factors(xn: ChaosExpansion, h1: np.ndarray, ns) -> list[BoundFactors]:
-    """The certificate's factors at every n in ns (all >= 2).
+def _middle_parts(xn: ChaosExpansion, h1: np.ndarray, ns) -> list:
+    """Distance parts of the certificate's middles: Gamma(lam) X against E(lam h1), lam = sqrt(2)/n, per n in ns;
+    Gamma(lam) X is X's rows with coefficients c * lam^|alpha|, pruned below PRUNE_EPS as gamma prunes."""
+    lams = [math.sqrt(2.0) / n for n in ns]
+    degrees = xn.degrees.astype(np.float64)
+    coeffs = np.array([xn.coeffs * np.power(lam, degrees) for lam in lams])
+    keep = np.abs(coeffs) >= PRUNE_EPS
+    rows = [_Rows(xn.exponents, c, xn.degrees, xn.max_degree) for c in coeffs]
+    if np.count_nonzero(keep) < keep.size:
+        rows = [_Rows(xn.exponents[k], c[k], xn.degrees[k], xn.max_degree) for c, k in zip(coeffs, keep)]
+    return [(r, lam * h1, xn.max_degree) for r, lam in zip(rows, lams)]
+
+
+def _bound_factors(xn: ChaosExpansion, h1: np.ndarray, ns, middles) -> list[BoundFactors]:
+    """The certificate's factors at every n in ns (all >= 2), given the middle factors' distances.
 
     Raises ValueError naming the first factor that is not finite in float64.
     """
     hsq = float(h1 @ h1)
     prefactor = _exp_or_inf(math.exp, hsq)
-    lam2s = [math.sqrt(2.0) / n for n in ns]
-    middles = _l2_distance_to_exponential([(gamma(lam, xn), lam * h1, xn.max_degree) for lam in lam2s])
     # b(lam) = sum over |alpha| >= 1 of lam^(2|alpha|) alpha! c_alpha^2 (no cancellation)
     sel = xn.degrees >= 1
     weights = _factorial_weighted(xn.exponents[sel], (xn.coeffs[sel], xn.coeffs[sel]), 1)
@@ -317,10 +345,12 @@ def convergence_report(x: ChaosExpansion, ns=None, n_max: int = 512) -> Converge
     if ns:
         xn = _normalized(x)
         h1 = first_order_kernel(xn)
-        errors = _l2_distance_to_exponential(
+        # the errors and the certificate's middles in one distance pass
+        distances = _l2_distance_to_exponential(
             [(r, h1, n * x.max_degree) for n, r in zip(ns, _dyadic_powers(xn, ns, rescale=True))]
+            + _middle_parts(xn, h1, ns)
         )
-        for n, err, factors in zip(ns, errors, _bound_factors(xn, h1, ns)):
+        for n, err, factors in zip(ns, distances, _bound_factors(xn, h1, ns, distances[len(ns) :])):
             entries.append(ConvergenceEntry(n, err, factors.bound, factors.gamma_norm))
     return ConvergenceReport(tuple(entries), _running_rates(ns, [e.error for e in entries]), expansion_hash(x))
 

@@ -70,6 +70,35 @@ def test_converge_rerun_is_byte_identical(tmp_path, capsys):
     assert "fitted_rate" in out
 
 
+@pytest.mark.parametrize(
+    "entries, args, csv_digest, stdout_digest",
+    [
+        (None, [], "680731743bf9fc9e1592a688eeb1b143599647d71aaf8ea00b82c1a6e8ab5889", "b2ded84a489626059f8aa8cc00dadb88649d1f6f71d6a11c84b74245f5744f1b"),
+        (None, ["--n-max", "1024"], "06a2d5352edbf1bd0061140a8e890962c2d4bc83a2e6b4b36911ceb7457e6a68", "449e3dc2ae879552add47ba888267db9bfd145d26479b4512d3b4b124cd9636c"),
+        ((2, [((0, 0), 1.1), ((1, 0), -0.4), ((0, 1), 0.3), ((2, 1), 0.05)]), ["--n-max", "256"],
+         "9b3638a8628a5229c9fa0b367ab3b74c33046f3e9555dead64e39e4fc34e60d3", "d2c66180923a46de3bb03db51f7226496cf297284f110213d411b795ee239adc"),
+        ((3, [((0, 0, 0), -0.8), ((1, 0, 0), 0.2), ((0, 0, 1), 0.35), ((0, 1, 1), -0.1)]), ["--n-max", "64"],
+         "2bce521be83ae7f59790a16da7d8ba84ece1b5870aad7fb9599785c828ddabb7", "c688dee104ccf76e0a6cea70cd09b05208f6f068c3360fe8a64a23362f4644e8"),
+        # n * deg > 170: log-space factorial weights
+        ((1, [((0,), 1.0), ((1,), -0.6), ((2,), 0.3)]), ["--n-max", "512"],
+         "45f1be284b1574764aeb702e0fcea74c5c16ef6128af63f01e9e2860b47476b9", "752692a1b9ffc19296b2abe442f66430dee377e433c76b2b7fed95f2db92df89"),
+        # the certificate's middle prunes the He_40 term from n = 64
+        ((1, {(0,): 1.0, (1,): 0.5, (40,): 1e-250}), ["--n-max", "64"],
+         "c909e449d76b642b44f7aa765f2acd4194ec3ed24fda0b93c85a2bb99c8128fb", "a41bb512940ee5a27d23f55cecc150efd4e5005f155e56640dd06c354fdfd570"),
+    ],
+    ids=["defaults", "n-max-1024", "dim-2", "dim-3", "log-space", "pruned"],
+)
+def test_converge_outputs_are_pinned(entries, args, csv_digest, stdout_digest, tmp_path, monkeypatch, capsys):
+    # the CSV and stdout of converge, bit for bit
+    monkeypatch.chdir(tmp_path)
+    if entries is not None:
+        (tmp_path / "x.json").write_text(json.dumps(to_json_dict(make_expansion(*entries))))
+        args = ["--expansion", "x.json"] + args
+    assert main(["converge"] + args) == 0
+    assert hashlib.sha256((tmp_path / "converge.csv").read_bytes()).hexdigest() == csv_digest
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_digest
+
+
 def test_converge_expansion_from_file(tmp_path, capsys):
     path = _write_expansion(tmp_path / "x.json", [1.0, 0.5, 0.25])
     out_path = tmp_path / "c.csv"

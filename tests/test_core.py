@@ -32,6 +32,7 @@ from wickchaos import (
     wick_product,
 )
 from wickchaos.core import (
+    ChaosExpansion,
     FACTORIALS,
     PRUNE_EPS,
     _exp_series,
@@ -175,6 +176,11 @@ def test_factorial_weights_fall_back_to_log_space():
         0.0,
     ]
     assert _factorial_weighted(exps, (a, b), 1) == pytest.approx(expected, rel=1e-12)
+    # stacked tables over the same rows weigh each row once, with the bits of
+    # one call per table
+    stacked = _factorial_weighted(exps, (np.stack((a, b, a)), np.stack((b, b, a))), 1)
+    for row, (f, g) in zip(stacked, ((a, b), (b, b), (a, a))):
+        assert row.tobytes() == _factorial_weighted(exps, (f, g), 1).tobytes()
     scaled = [
         math.exp(0.5 * math.lgamma(201.0) + math.log(1e-150)),
         1e-170 * math.sqrt(math.factorial(100)),
@@ -593,6 +599,54 @@ def test_every_producer_returns_canonical_rows():
     sparse = make_expansion(3, {(50, 0, 0): 1.0, (0, 50, 0): 1.0, (0, 0, 50): 1.0})
     for r in (sparse, sparse + constant(3), wick_product(sparse, sparse), pointwise_product(sparse, sparse)):
         _assert_canonical(r)
+
+
+def _from_arrays_by_sorting(dim, exponents, coeffs):
+    """The canonical form with its stable degree sort always taken: the oracle of the skipped sort."""
+    keep = np.abs(coeffs) >= PRUNE_EPS
+    exponents, coeffs = exponents[keep], coeffs[keep]
+    order = exponents.sum(axis=1).argsort(kind="stable")
+    return exponents[order], coeffs[order], exponents.sum(axis=1)[order]
+
+
+def test_from_arrays_without_its_sort_matches_the_sorting_path():
+    # rows already in degree order skip the sort; unsorted ones take it
+    rng = np.random.default_rng(23)
+    for dim in (1, 2, 3):
+        for trial in range(30):
+            m = int(rng.integers(0, 40))
+            exps = rng.integers(0, 6, size=(m, dim))
+            coeffs = rng.uniform(-1, 1, m)
+            coeffs[rng.random(m) < 0.2] = 1e-310  # pruned
+            if trial % 2:
+                exps = exps[exps.sum(axis=1).argsort(kind="stable")]
+            want = _from_arrays_by_sorting(dim, exps, coeffs)
+            got = ChaosExpansion._from_arrays(dim, exps.copy(), coeffs.copy())
+            assert np.array_equal(got.exponents, want[0]) and np.array_equal(got.degrees, want[2])
+            assert got.coeffs.tobytes() == want[1].tobytes()
+
+
+def test_built_expansions_share_no_memory_with_writable_caller_arrays():
+    # _from_arrays keeps the arrays it is handed when the rows need no sort, so
+    # every producer must hand it fresh arrays or another expansion's read-only ones
+    h = np.array([0.3, 0.0, -0.5])
+    coeffs = np.array([1.0, 0.5, -0.25])
+    x = make_expansion(3, {(0, 0, 0): 1.0, (1, 0, 0): 0.5, (0, 1, 1): -0.2})
+    y = make_expansion(3, {(0, 0, 0): 0.7, (0, 0, 2): 0.1})
+    x1 = univariate(coeffs)
+    produced = [
+        x, x1, constant(3, 2.0), from_json_dict(to_json_dict(x)),
+        x + y, x - y, -x, 2.5 * x, x / 4.0, gamma(0.7, x), gamma(0.7, x1),
+        project_degree(x, 1), wick_product(x, y), wick_product(x1, x1), pointwise_product(x, y),
+        exp_vector(h, 4).expansion, exp_vector(np.zeros(3), 3).expansion, rescaled_wick_power(x1, 8),
+    ]
+    for r in produced:
+        for a in (r.exponents, r.coeffs):
+            assert not a.flags.writeable
+            assert not any(np.shares_memory(a, b) for b in (h, coeffs))
+        for other in (x, y, x1):
+            if r is not other:
+                assert not np.shares_memory(r.coeffs, other.coeffs)
 
 
 def _union_by_unique(x, y):

@@ -108,6 +108,34 @@ def test_sparse_branch_is_the_per_term_loop_bit_for_bit(monkeypatch):
             assert np.array_equal(acc, expected)
 
 
+def test_square_takes_the_bits_of_two_separate_tables(monkeypatch):
+    # the same array objects on both sides (the dyadic chain's squares) share
+    # one grid maximum, one code vector and one dense vector: the bits of the
+    # same tables passed as copies, on the dense and on the sparse branch
+    rng = np.random.default_rng(41)
+    dense_calls = []
+    convolve = np.convolve
+    monkeypatch.setattr(_kernels.np, "convolve", lambda a, b: dense_calls.append(a is b) or convolve(a, b))
+    for dim in (1, 2, 3):
+        sparse_exps = np.zeros((3, dim), dtype=np.int64)
+        sparse_exps[1, 0] = 50
+        sparse_exps[2, -1] = 37
+        for (exps, coeffs), dense in ((_box(rng, dim, 3), True), ((sparse_exps, rng.uniform(-1, 1, 3)), False)):
+            for product in (_kernels.convolve_terms, _kernels.hu_meyer_terms):
+                dense_calls.clear()
+                square = product(exps, coeffs, exps, coeffs)
+                if product is _kernels.convolve_terms:
+                    assert dense_calls == ([True] if dense else [])
+                copies = product(exps, coeffs, exps.copy(), coeffs.copy())
+                assert np.array_equal(square[0], copies[0])
+                assert square[1].tobytes() == copies[1].tobytes()
+                # shared exponents with other coefficients (x and 2x) share only the codes
+                other = 2.0 * coeffs
+                shared = product(exps, coeffs, exps, other)
+                separate = product(exps, coeffs, exps.copy(), other)
+                assert shared[1].tobytes() == separate[1].tobytes()
+
+
 def _odometer_hu_meyer(ex, cx, ey, cy, max_r):
     """Hu-Meyer product by walking, for each pair of terms, every contraction
     multi-index 0 <= r <= min(alpha, beta) in odometer order (last coordinate

@@ -31,6 +31,7 @@ from wickchaos import (
     write_convergence_csv,
 )
 from wickchaos import _kernels, limits, sampling
+from wickchaos.core import _exp_series
 from wickchaos.limits import _l2_distance_to_exponential
 
 X11 = univariate([1.0, 1.0])  # 1 + He1
@@ -286,6 +287,42 @@ def test_distance_to_exponential_matches_enumeration():
         assert got == convergence_error(x, n)
         worst = max(worst, abs(got - expected) / expected)
     assert worst <= 1e-13
+
+
+def test_distance_parts_sharing_a_series_match_single_part_calls():
+    # parts with one |h|^2 (h, -h, or h permuted) and different top degrees
+    # share one exponential series: each takes a prefix, and its tail goes on
+    # from the prefix's last term, 0 at degree 400 where 0.09^k / k! has underflowed
+    x1 = univariate([1.0, 0.3, -0.2])
+    x2 = make_expansion(2, [((0, 0), 1.0), ((1, 0), 0.3), ((0, 1), 0.4), ((1, 1), -0.1)])
+    h = np.array([0.3])
+    assert _exp_series(0.09, 400)[0][-1] == 0.0
+    for parts in (
+        [(x1, h, 400), (x1, h, 2), (x1, -h, 40), (x1, h, 7), (X11, -h, 0), (x1, 2 * h, 12)],
+        [(x2, np.array([0.3, 0.4]), 9), (x2, np.array([0.4, 0.3]), 300), (x2, np.array([0.0, 0.5]), 3)],
+    ):
+        batched = _l2_distance_to_exponential(parts)
+        assert [repr(v) for v in batched] == [repr(_l2_distance_to_exponential([p])[0]) for p in parts]
+
+
+def test_certificate_middles_from_rows_match_gamma_expansions():
+    # the middle factor's parts are X's rows scaled by lam^|alpha| and pruned
+    # below PRUNE_EPS: each distance is that of the expansion gamma(lam, X)
+    rng = np.random.default_rng(19)
+    pruned = make_expansion(1, {(0,): 1.0, (1,): 0.5, (40,): 1e-250})
+    # 1e-256 lam^300 < PRUNE_EPS at n = 2, though it would weigh 300! (1e-301)^2 ~ 1e12
+    heavy = make_expansion(1, {(0,): 1.0, (1,): 0.5, (300,): 1e-256})
+    inputs = [pruned, heavy] + [_random_with_mean(rng, dim, 4, 6) for dim in (1, 2, 3) for _ in range(3)]
+    ns = [2, 3, 8, 64, 1000]
+    for x in inputs:
+        xn = x / x.mean()
+        h1 = first_order_kernel(xn)
+        middles = _l2_distance_to_exponential(limits._middle_parts(xn, h1, ns))
+        for n, middle in zip(ns, middles):
+            lam = math.sqrt(2.0) / n
+            (want,) = _l2_distance_to_exponential([(gamma(lam, xn), lam * h1, xn.max_degree)])
+            assert repr(middle) == repr(want) == repr(proof_bound_factors(x, n).middle)
+    assert gamma(math.sqrt(2.0) / 64, pruned).n_terms == gamma(math.sqrt(2.0) / 2, heavy).n_terms == 2
 
 
 def test_multiset_counts_match_math_comb():

