@@ -91,8 +91,8 @@ def pointwise_product(
 def s_transform_eval(x: ChaosExpansion, h) -> float:
     """S-transform value SX(h) = E[X · E(h)] = sum_alpha c_alpha h^alpha.
 
-    A polynomial evaluation of the coefficient table; it maps the Wick
-    product to the pointwise product of transforms.
+    A polynomial evaluation of the coefficient table, mapping the Wick product to the
+    pointwise product of transforms. Raises ValueError when it is not finite in float64.
     """
     h = np.asarray(h, dtype=np.float64)
     if h.ndim != 1 or h.shape[0] != x.dim:
@@ -104,12 +104,16 @@ def s_transform_eval(x: ChaosExpansion, h) -> float:
     kmax = int(x.exponents.max())
     powers = np.empty((x.dim, kmax + 1))
     powers[:, 0] = 1.0
-    for e in range(1, kmax + 1):
-        powers[:, e] = powers[:, e - 1] * h
-    monomials = np.ones(x.n_terms)
-    for i in range(x.dim):
-        monomials *= powers[i, x.exponents[:, i]]
-    return float(np.sum(x.coeffs * monomials))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is rejected below
+        for e in range(1, kmax + 1):
+            powers[:, e] = powers[:, e - 1] * h
+        monomials = np.ones(x.n_terms)
+        for i in range(x.dim):
+            monomials *= powers[i, x.exponents[:, i]]
+        value = float(np.sum(x.coeffs * monomials))
+    if not math.isfinite(value):
+        raise ValueError(f"S-transform value {value!r} is not finite in float64")
+    return value
 
 
 def wick_bound_check(xs) -> tuple[float, float]:

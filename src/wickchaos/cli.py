@@ -15,7 +15,7 @@ import sys
 import warnings
 
 from . import __version__
-from .core import expansion_hash, from_json_dict, to_json_dict
+from .core import from_json_dict, to_json_dict
 from .limits import (
     convergence_report,
     limit_distribution_test,
@@ -156,7 +156,7 @@ def _cmd_dist(cfg, x) -> int:
             cfg["seed"],
             concentration_eps=float(cfg["concentration_eps"]),
         )
-    write_distribution_json(report, cfg["out"], tool_version=__version__, input_hash=expansion_hash(x))
+    write_distribution_json(report, cfg["out"], tool_version=__version__)
     write_samples_csv(report.batch, cfg["samples_out"], tool_version=__version__)
     crit = ks_critical_value(n_samples)
     if report.concentration_at_one is not None:

@@ -18,10 +18,12 @@ mutates its arguments, so instances are freely shareable across threads.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -83,8 +85,7 @@ def multi_index_factorial(alpha) -> float:
 def multi_indexes_of_degree(dim: int, degree: int) -> Iterator[tuple[int, ...]]:
     """All multi-indexes of the given total degree, lexicographically ascending."""
     dim = _check_dim(dim)
-    if degree < 0:
-        raise ValueError("degree must be non-negative")
+    degree = _check_degree(degree, "degree")
     if dim == 1:
         yield (degree,)
         return
@@ -120,10 +121,9 @@ def _log_factorial(k):
 def _factorial_weighted(exponents, factors, power):
     """Per-term (alpha!)**power * prod(factors), power 1 or 0.5.
 
-    The factors are (m,) arrays, or (k, m) arrays for k tables over the same
-    rows, each row weighed once. The direct product is exact for desk-scale
-    terms; entries where it overflows, or underflows to 0 from nonzero
-    factors, are recomputed in log space (~1 ulp of the exponent).
+    The direct product is exact for desk-scale terms; entries where it
+    overflows, or underflows to 0 from nonzero factors, are recomputed in log
+    space (~1 ulp of the exponent).
     """
     table = FACTORIALS if power == 1 else _SQRT_FACTORIALS
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
@@ -136,17 +136,13 @@ def _factorial_weighted(exponents, factors, power):
         direct = w * product
         bad = ~np.isfinite(direct) | ((direct == 0.0) & nonzero)
         if bad.any():
-            at = np.flatnonzero(bad)  # entry i of the flattened tables is on row i % m
-            rows = bad.reshape(-1, w.shape[0]).any(axis=0)
-            log_w = np.zeros(w.shape[0])
-            log_w[rows] = power * _log_factorial(exponents[rows]).sum(axis=1)
-            log_abs = log_w[at % w.shape[0]]
+            log_abs = power * _log_factorial(exponents[bad]).sum(axis=1)
             sign = 1.0
             for f in factors:
-                f = f.reshape(-1)[at]
+                f = f[bad]
                 log_abs = log_abs + np.log(np.abs(f))
                 sign = sign * np.sign(f)
-            direct.reshape(-1)[at] = sign * np.exp(log_abs)
+            direct[bad] = sign * np.exp(log_abs)
     return direct
 
 
@@ -165,28 +161,37 @@ def _power_tables(h: np.ndarray, degree: int) -> np.ndarray:
         return np.multiply.accumulate(ratios, axis=1, out=ratios)
 
 
-def _exp_tail(hsq: float, degree: int, term: float) -> float:
-    """sum_{k > degree} hsq^k / k! by term_k = term_{k-1} * (hsq / k) from term = hsq^degree / degree!,
-    adding terms (all positive) until one is 0 or below 1e-18 of the sum. Raises
-    ValueError when the tail is not finite in float64."""
-    tail = 0.0
-    for k in range(degree + 1, degree + 1 + _EXP_TAIL_MAX_TERMS):
-        term *= hsq / k
-        tail += term
+def _exp_series(hsqs, tops) -> list:
+    """Per (hsq, top) pair, the terms hsq^k / k! for k = 0..top and the tail sum_{k > top} hsq^k / k!.
+
+    The terms are a prefix of one power table per hsq (those of one length from
+    one call); the tail adds term_k = term_{k-1} * (hsq / k) until one is 0 or
+    below 1e-18 of the sum, and raises ValueError when it is not finite in float64.
+    """
+    longest = {}
+    for hsq, top in zip(hsqs, tops):
+        longest[hsq] = max(longest.get(hsq, 0), top)
+    tables = {}
+    for top in set(longest.values()):
+        group = [hsq for hsq in longest if longest[hsq] == top]
+        tables.update(zip(group, _power_tables(np.array(group), top)))
+    series = []
+    for hsq, top in zip(hsqs, tops):
+        terms, tail = tables[hsq][: top + 1], 0.0
+        term = float(terms[-1])
+        for k in range(top + 1, top + 1 + _EXP_TAIL_MAX_TERMS):
+            term *= hsq / k
+            tail += term
+            if not math.isfinite(tail) or term == 0.0 or term < tail * 1e-18:
+                break
+        else:
+            tail = math.inf  # no term met the stopping rule
         if not math.isfinite(tail):
-            break
-        if term == 0.0 or term < tail * 1e-18:
-            return tail
-    raise ValueError(
-        f"exponential-series tail past degree {degree} does not converge in float64 "
-        f"for |h|^2 = {hsq!r}"
-    )
-
-
-def _exp_series(hsq: float, degree: int):
-    """Terms hsq^k / k! for k = 0..degree (a power table of hsq), and the tail sum_{k > degree} hsq^k / k!."""
-    terms = _power_tables(np.array([hsq]), degree)[0]
-    return terms, _exp_tail(hsq, degree, float(terms[-1]))
+            raise ValueError(
+                f"exponential-series tail past degree {top} does not converge in float64 for |h|^2 = {hsq!r}"
+            )
+        series.append((terms, tail))
+    return series
 
 
 class ChaosExpansion:
@@ -300,7 +305,9 @@ class ChaosExpansion:
         scalar = float(scalar)
         if not math.isfinite(scalar):
             raise ValueError("non-finite scalar")
-        return ChaosExpansion._from_arrays(self.dim, self.exponents, self.coeffs * scalar)
+        with np.errstate(over="ignore") if abs(scalar) > 1.0 else contextlib.nullcontext():  # as in gamma
+            coeffs = self.coeffs * scalar
+        return ChaosExpansion._from_arrays(self.dim, self.exponents, coeffs)
 
     __rmul__ = __mul__
 
@@ -341,6 +348,13 @@ def _check_dim(dim) -> int:
     if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
         raise ValueError(f"dim must be a positive integer, got {dim!r}")
     return int(dim)
+
+
+def _check_degree(degree, name: str) -> int:
+    """degree as an int through operator.index (TypeError for a non-integer); a bool or a negative raises ValueError."""
+    if isinstance(degree, bool) or operator.index(degree) < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {degree!r}")
+    return operator.index(degree)
 
 
 def make_expansion(dim: int, entries) -> ChaosExpansion:
@@ -410,15 +424,16 @@ def gamma(lam: float, x: ChaosExpansion) -> ChaosExpansion:
     lam = float(lam)
     if not math.isfinite(lam):
         raise ValueError("non-finite lambda")
-    return ChaosExpansion._from_arrays(
-        x.dim, x.exponents, x.coeffs * np.power(lam, x.degrees.astype(np.float64))
-    )
+    # an overflow is a non-finite coefficient, which _from_arrays rejects; none
+    # is possible for |lam| <= 1, the hot path, which skips errstate's ~1 us
+    with np.errstate(over="ignore") if abs(lam) > 1.0 else contextlib.nullcontext():
+        coeffs = x.coeffs * np.power(lam, x.degrees.astype(np.float64))
+    return ChaosExpansion._from_arrays(x.dim, x.exponents, coeffs)
 
 
 def project_degree(x: ChaosExpansion, m: int, mode: str = "at_most") -> ChaosExpansion:
     """Keep coefficients with |alpha| <= m ('at_most') or |alpha| == m ('exactly')."""
-    if m < 0:
-        raise ValueError("degree must be non-negative")
+    m = _check_degree(m, "degree")
     if mode == "at_most":
         keep = x.degrees <= m
     elif mode == "exactly":
@@ -459,8 +474,7 @@ def exp_vector(h, max_degree: int) -> ExpVectorResult:
         raise ValueError("h must be a non-empty 1-d vector")
     if not np.all(np.isfinite(h)):
         raise ValueError("non-finite entry in h")
-    if max_degree < 0:
-        raise ValueError("max_degree must be non-negative")
+    max_degree = _check_degree(max_degree, "max_degree")
     d = h.shape[0]
     tables = _power_tables(h, max_degree)
     # every multi-index over supp h of degree <= max_degree, built one
@@ -474,7 +488,7 @@ def exp_vector(h, max_degree: int) -> ExpVectorResult:
         exps[:, i] = e
         vals = vals[rows] * tables[i, e]
     expansion = ChaosExpansion._from_arrays(d, exps, vals)
-    _, tail = _exp_series(float(h @ h), max_degree)
+    ((_, tail),) = _exp_series([float(h @ h)], [max_degree])
     return ExpVectorResult(expansion=expansion, tail_norm_sq=tail)
 
 

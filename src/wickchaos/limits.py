@@ -19,21 +19,13 @@ import json
 import math
 import operator
 import warnings
-from collections import namedtuple
 from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
-from .core import (
-    ChaosExpansion,
-    PRUNE_EPS,
-    _exp_tail,
-    _factorial_weighted,
-    _power_tables,
-    expansion_hash,
-    first_order_kernel,
-)
+from .core import ChaosExpansion, _exp_series, _factorial_weighted, _power_tables, expansion_hash
+from .core import first_order_kernel, gamma
 from .algebra import _dyadic_powers
 from .sampling import _ks_sorted, _slices, ks_critical_value, sample_batch
 
@@ -65,20 +57,22 @@ class ZeroMeanError(ValueError):
     """Raised for zero-mean inputs, whose rescaled Wick powers have no nonzero limit."""
 
 
-def _normalized(x: ChaosExpansion) -> ChaosExpansion:
+def _normalized(x: ChaosExpansion) -> tuple[ChaosExpansion, np.ndarray]:
+    """X/E[X] and its first-order kernel h1."""
     mean = x.mean()
     if abs(mean) < MEAN_EPS:
         raise ZeroMeanError(
             "expansion has (numerically) zero mean; rescaled Wick powers of "
             "zero-mean inputs converge to zero only - see min_chaos_order"
         )
-    return x / mean
+    xn = x / mean
+    return xn, first_order_kernel(xn)
 
 
-def _normalized_power(x: ChaosExpansion, n) -> tuple[ChaosExpansion, ChaosExpansion]:
-    """X/E[X] and Gamma(1/n) (X/E[X])^{⋄n}, for n >= 1."""
-    xn = _normalized(x)
-    return xn, _dyadic_powers(xn, [n], rescale=True)[0]
+def _normalized_power(x: ChaosExpansion, n) -> tuple[np.ndarray, ChaosExpansion]:
+    """h1 of X/E[X] and Gamma(1/n) (X/E[X])^{⋄n}, for n >= 1."""
+    xn, h1 = _normalized(x)
+    return h1, _dyadic_powers(xn, [n], rescale=True)[0]
 
 
 def rescaled_wick_power(x: ChaosExpansion, n: int) -> ChaosExpansion:
@@ -100,12 +94,8 @@ def _multiset_counts(k, s_minus_1):
     return m
 
 
-# rows in (degree, lex) order that the distance pass reads as an expansion's; max_degree bounds their degrees
-_Rows = namedtuple("_Rows", "exponents coeffs degrees max_degree")
-
-
 def _l2_distance_to_exponential(parts) -> list[float]:
-    """Exact ||X - E(h)|| for each (X, h, support_degree) in parts, all X (expansions or _Rows) of one dim.
+    """Exact ||X - E(h)|| for each (X, h, support_degree) in parts, all X of one dim.
 
     E(h) carries h^alpha / alpha! at every alpha. With D = max(support_degree,
     X.max_degree) the squared distance is
@@ -121,9 +111,9 @@ def _l2_distance_to_exponential(parts) -> list[float]:
     one a single-part call gives, bit for bit.
     """
     xs = [x for x, _, _ in parts]
-    dim = xs[0].exponents.shape[1]
+    dim = xs[0].dim
     h = np.array([hv for _, hv, _ in parts], dtype=np.float64)
-    part = np.arange(len(parts)).repeat([x.coeffs.shape[0] for x in xs])
+    part = np.arange(len(parts)).repeat([x.n_terms for x in xs])
     exps = np.concatenate([x.exponents for x in xs])
     # the table entries are NaN at h_i = 0 for e >= 1, which marks the rows
     # using a coordinate outside supp h, where t is 0
@@ -132,26 +122,13 @@ def _l2_distance_to_exponential(parts) -> list[float]:
     t = tables[part[:, None], np.arange(dim), exps].prod(axis=1)
     on_support = ~np.isnan(t)
     t[~on_support] = 0.0
-    both = np.concatenate((np.concatenate([x.coeffs for x in xs]) - t, t)).reshape(2, -1)
-    diff_sq, target_sq = _factorial_weighted(exps, (both, both), 1)
+    both = np.concatenate((np.concatenate([x.coeffs for x in xs]) - t, t))
+    diff_sq, target_sq = _factorial_weighted(np.concatenate((exps, exps)), (both, both), 1).reshape(2, -1)
 
-    # one exponential series |h|^(2k) / k! per distinct |h|^2, as long as its
-    # longest part needs, those of one length from one call; each part takes a
-    # prefix, and its tail continues from the prefix's last term
-    hsqs = [float(hv @ hv) for _, hv, _ in parts]
-    tops = [max(int(d), x.max_degree) for x, _, d in parts]
-    longest = {}
-    for hsq, top in zip(hsqs, tops):
-        longest[hsq] = max(longest.get(hsq, 0), top)
-    series = {}
-    for top in set(longest.values()):
-        group = [hsq for hsq in longest if longest[hsq] == top]
-        series.update(zip(group, _power_tables(np.array(group), top)))
-    prefixes = [series[hsq][: top + 1] for hsq, top in zip(hsqs, tops)]
-    tails = [_exp_tail(hsq, top, float(terms[-1])) for hsq, top, terms in zip(hsqs, tops, prefixes)]
-    # degree k of part p at masses[starts[p] + k]
-    masses = np.concatenate(prefixes)
-    lengths = [top + 1 for top in tops]
+    # every part's series terms, degree k of part p at masses[starts[p] + k]
+    series = _exp_series([float(hv @ hv) for _, hv, _ in parts], [max(int(d), x.max_degree) for x, _, d in parts])
+    masses = np.concatenate([terms for terms, _ in series])
+    lengths = [terms.shape[0] for terms, _ in series]
     starts = np.array(list(accumulate(lengths[:-1], initial=0)))
     slots = starts[part] + np.concatenate([x.degrees for x in xs])
     stored = np.bincount(slots, weights=target_sq, minlength=masses.shape[0])
@@ -168,8 +145,8 @@ def _l2_distance_to_exponential(parts) -> list[float]:
     # sums sequentially and changes bits)
     out = []
     r0 = m0 = 0
-    for x, tail, length in zip(xs, tails, lengths):
-        r1, m1 = r0 + x.coeffs.shape[0], m0 + length
+    for x, (_, tail), length in zip(xs, series, lengths):
+        r1, m1 = r0 + x.n_terms, m0 + length
         out.append(math.sqrt(float(diff_sq[r0:r1].sum()) + float(masses[m0:m1].sum()) + tail))
         r0, m0 = r1, m1
     return out
@@ -182,8 +159,7 @@ def convergence_error(x: ChaosExpansion, n: int) -> float:
     n * x.max_degree; the exponential mass beyond that enters through the
     closed-form series tail, so there is no truncation error.
     """
-    xn, r = _normalized_power(x, n)
-    h1 = first_order_kernel(xn)
+    h1, r = _normalized_power(x, n)
     return _l2_distance_to_exponential([(r, h1, n * x.max_degree)])[0]
 
 
@@ -211,8 +187,7 @@ def proof_bound_factors(x: ChaosExpansion, n: int) -> BoundFactors:
     n = operator.index(n)
     if n < 2:
         raise ValueError("the certificate is defined for n >= 2")
-    xn = _normalized(x)
-    h1 = first_order_kernel(xn)
+    xn, h1 = _normalized(x)
     return _bound_factors(xn, h1, [n], _l2_distance_to_exponential(_middle_parts(xn, h1, [n])))[0]
 
 
@@ -224,16 +199,9 @@ def _exp_or_inf(f, value: float) -> float:
 
 
 def _middle_parts(xn: ChaosExpansion, h1: np.ndarray, ns) -> list:
-    """Distance parts of the certificate's middles: Gamma(lam) X against E(lam h1), lam = sqrt(2)/n, per n in ns;
-    Gamma(lam) X is X's rows with coefficients c * lam^|alpha|, pruned below PRUNE_EPS as gamma prunes."""
+    """Distance parts of the certificate's middles: Gamma(lam) X against E(lam h1), lam = sqrt(2)/n, per n in ns."""
     lams = [math.sqrt(2.0) / n for n in ns]
-    degrees = xn.degrees.astype(np.float64)
-    coeffs = np.array([xn.coeffs * np.power(lam, degrees) for lam in lams])
-    keep = np.abs(coeffs) >= PRUNE_EPS
-    rows = [_Rows(xn.exponents, c, xn.degrees, xn.max_degree) for c in coeffs]
-    if np.count_nonzero(keep) < keep.size:
-        rows = [_Rows(xn.exponents[k], c[k], xn.degrees[k], xn.max_degree) for c, k in zip(coeffs, keep)]
-    return [(r, lam * h1, xn.max_degree) for r, lam in zip(rows, lams)]
+    return [(gamma(lam, xn), lam * h1, xn.max_degree) for lam in lams]
 
 
 def _bound_factors(xn: ChaosExpansion, h1: np.ndarray, ns, middles) -> list[BoundFactors]:
@@ -343,8 +311,7 @@ def convergence_report(x: ChaosExpansion, ns=None, n_max: int = 512) -> Converge
         raise ValueError("schedule entries must be distinct")
     entries = []
     if ns:
-        xn = _normalized(x)
-        h1 = first_order_kernel(xn)
+        xn, h1 = _normalized(x)
         # the errors and the certificate's middles in one distance pass
         distances = _l2_distance_to_exponential(
             [(r, h1, n * x.max_degree) for n, r in zip(ns, _dyadic_powers(xn, ns, rescale=True))]
@@ -390,6 +357,7 @@ class DistributionReport:
     concentration_at_one: float | None
     concentration_eps: float
     batch: object
+    input_hash: str
 
 
 def limit_distribution_test(
@@ -411,8 +379,7 @@ def limit_distribution_test(
         raise ValueError("n_samples must be positive")
     if n_samples < 1000:
         warnings.warn("n_samples below the minimum meaningful size 1000", stacklevel=2)
-    xn, r = _normalized_power(x, n)
-    h1 = first_order_kernel(xn)
+    h1, r = _normalized_power(x, n)
     hsq = float(h1 @ h1)
     batch = sample_batch(r, n_samples, seed)
     # one sorted copy: the values are finite, so the first k are the
@@ -439,10 +406,11 @@ def limit_distribution_test(
         concentration_at_one=concentration,
         concentration_eps=concentration_eps,
         batch=batch,
+        input_hash=expansion_hash(x),
     )
 
 
-def write_distribution_json(report: DistributionReport, path, tool_version: str = "", input_hash: str = "") -> None:
+def write_distribution_json(report: DistributionReport, path, tool_version: str = "") -> None:
     """JSON export of a distribution report with metadata fields."""
     payload = {
         "n": report.n,
@@ -458,7 +426,7 @@ def write_distribution_json(report: DistributionReport, path, tool_version: str 
         "concentration_eps": report.concentration_eps,
         "generator": report.batch.generator,
         "tool": f"wickchaos {tool_version}" if tool_version else "wickchaos",
-        "input-hash": input_hash or report.batch.expansion_hash,
+        "input-hash": report.input_hash,
     }
     with open(path, "w", newline="\n") as fh:
         json.dump(payload, fh, indent=2)

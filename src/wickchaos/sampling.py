@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import ChaosExpansion, _factorial_weighted, expansion_hash
+from .core import ChaosExpansion, _check_degree, _factorial_weighted, expansion_hash
 
 __all__ = [
     "HERMITE_DEGREE_CAP",
@@ -70,9 +70,7 @@ _U = (1.0, 33.56171416475031, 521.3579497801527, 4594.323829709801, 22629.000061
 
 def hermite_eval(k: int, x: float) -> float:
     """Probabilists' Hermite polynomial He_k(x), as the one-term table He_k at one point."""
-    k = int(k)
-    if k < 0:
-        raise ValueError("degree must be non-negative")
+    k = _check_degree(k, "degree")
     x = float(x)
     if not math.isfinite(x):
         raise ValueError("non-finite evaluation point")

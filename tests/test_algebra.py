@@ -249,6 +249,16 @@ def test_s_transform_dimension_mismatch():
         s_transform_eval(constant(2), [1.0])
 
 
+def test_s_transform_rejects_non_finite_values():
+    # (1e200)^2 overflows; at (1e200, 0) the He_(2,1) monomial is inf * 0
+    for x, h in (
+        (univariate([1.0, 0.5, 0.25]), [1e200]),
+        (make_expansion(2, {(0, 0): 1.0, (2, 1): 1.0}), [1e200, 0.0]),
+    ):
+        with pytest.raises(ValueError, match="not finite in float64"):
+            s_transform_eval(x, h)
+
+
 # ---------------------------------------------------------------------------
 # Norm inequality for Wick products
 # ---------------------------------------------------------------------------

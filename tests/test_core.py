@@ -130,7 +130,7 @@ def test_multi_indexes_of_degree_lex_order():
     assert idx == sorted(idx)
 
 
-@pytest.mark.parametrize("dim, degree", [(1, -1), (3, -2), (0, 1), (1.5, 2), (-1, 0), (True, 1)])
+@pytest.mark.parametrize("dim, degree", [(1, -1), (3, -2), (0, 1), (1.5, 2), (-1, 0), (True, 1), (1, True)])
 def test_multi_indexes_of_degree_rejects_bad_input(dim, degree):
     with pytest.raises(ValueError):
         list(multi_indexes_of_degree(dim, degree))
@@ -176,11 +176,6 @@ def test_factorial_weights_fall_back_to_log_space():
         0.0,
     ]
     assert _factorial_weighted(exps, (a, b), 1) == pytest.approx(expected, rel=1e-12)
-    # stacked tables over the same rows weigh each row once, with the bits of
-    # one call per table
-    stacked = _factorial_weighted(exps, (np.stack((a, b, a)), np.stack((b, b, a))), 1)
-    for row, (f, g) in zip(stacked, ((a, b), (b, b), (a, a))):
-        assert row.tobytes() == _factorial_weighted(exps, (f, g), 1).tobytes()
     scaled = [
         math.exp(0.5 * math.lgamma(201.0) + math.log(1e-150)),
         1e-170 * math.sqrt(math.factorial(100)),
@@ -320,6 +315,11 @@ def test_gamma_linearity():
 def test_gamma_rejects_non_finite():
     with pytest.raises(ValueError, match="non-finite"):
         gamma(float("inf"), constant(1))
+    # an overflowing product is a non-finite coefficient, raised with no numpy warning first
+    with pytest.raises(ValueError, match="non-finite coefficient"):
+        gamma(1e200, univariate([1.0, 0.5, 0.25]))
+    with pytest.raises(ValueError, match="non-finite coefficient"):
+        univariate([10.0]) * 1e308
 
 
 def test_project_degree_modes():
@@ -329,6 +329,19 @@ def test_project_degree_modes():
     assert project_degree(x, 1, "exactly") == univariate([0.0, 1.0])
     with pytest.raises(ValueError, match="mode"):
         project_degree(x, 1, "between")
+    with pytest.raises(TypeError):
+        project_degree(x, 1.5)
+    for m in (True, -1):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            project_degree(x, m)
+
+
+def test_exp_vector_rejects_bad_degrees():
+    with pytest.raises(TypeError):
+        exp_vector([0.5], 2.5)
+    for degree in (True, -1):
+        with pytest.raises(ValueError, match="max_degree must be a non-negative integer"):
+            exp_vector([0.5], degree)
 
 
 def test_exp_vector_zero_kernel():
@@ -420,12 +433,19 @@ def _forward_series(hsq, degree):
 
 
 def test_exp_series_is_the_forward_recurrence_bit_for_bit():
-    for hsq in (0.0, 1e-3, 0.09, 1.0, 2.25, 7.3, 100.0, 625.0):
-        for degree in (0, 1, 3, 40, 171, 1024):
-            terms, tail = _exp_series(hsq, degree)
-            expected_terms, expected_tail = _forward_series(hsq, degree)
-            assert terms.tolist() == expected_terms
-            assert tail == expected_tail
+    hsqs = (0.0, 1e-3, 0.09, 1.0, 2.25, 7.3, 100.0, 625.0)
+    pairs = [(hsq, degree) for hsq in hsqs for degree in (0, 1, 3, 40, 171, 1024)]
+    for hsq, degree in pairs:
+        ((terms, tail),) = _exp_series([hsq], [degree])
+        expected_terms, expected_tail = _forward_series(hsq, degree)
+        assert terms.tolist() == expected_terms
+        assert tail == expected_tail
+    # one call for every pair: the degrees of one hsq take prefixes of its longest table
+    hsqs, degrees = zip(*pairs)
+    for (hsq, degree), (terms, tail) in zip(pairs, _exp_series(hsqs, degrees)):
+        expected_terms, expected_tail = _forward_series(hsq, degree)
+        assert terms.tolist() == expected_terms
+        assert tail == expected_tail
     for h, degree in ((0.3, 0), (1.0, 3), (1.5, 40), (-4.0, 7)):
         assert exp_vector([h], degree).tail_norm_sq == _forward_series(h * h, degree)[1]
 
@@ -433,7 +453,7 @@ def test_exp_series_is_the_forward_recurrence_bit_for_bit():
 def test_exp_series_tail_raises_instead_of_truncating():
     # exp(|h|^2) overflows float64: the tail never meets its stopping rule
     with pytest.raises(ValueError, match="does not converge"):
-        _exp_series(1e6, 0)
+        _exp_series([1e6], [0])
     with pytest.raises(ValueError, match="does not converge"):
         exp_vector([1e3], 0)
 
@@ -443,7 +463,7 @@ def test_exp_series_raises_when_the_tail_overflows():
     # the terms are still finite, and an infinite tail must not pass the
     # stopping rule term < tail * 1e-18
     with pytest.raises(ValueError, match="does not converge"):
-        _exp_series(900.0, 2)
+        _exp_series([900.0], [2])
     with pytest.raises(ValueError, match="does not converge"):
         exp_vector([30.0], 2)
 
@@ -588,6 +608,7 @@ def test_every_producer_returns_canonical_rows():
                 -x,
                 2.5 * x,
                 gamma(0.7, x),
+                gamma(1e-200, x),  # prunes every term of degree >= 2
                 project_degree(x, 2),
                 project_degree(x, 2, mode="exactly"),
             ]

@@ -1,5 +1,6 @@
 """Rescaled Wick powers: exact errors, certificates, and limit laws."""
 
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -14,6 +15,7 @@ from wickchaos import (
     convergence_error,
     convergence_report,
     exp_vector,
+    expansion_hash,
     first_order_kernel,
     gamma,
     inner_product,
@@ -29,6 +31,7 @@ from wickchaos import (
     univariate,
     wick_power,
     write_convergence_csv,
+    write_distribution_json,
 )
 from wickchaos import _kernels, limits, sampling
 from wickchaos.core import _exp_series
@@ -296,7 +299,7 @@ def test_distance_parts_sharing_a_series_match_single_part_calls():
     x1 = univariate([1.0, 0.3, -0.2])
     x2 = make_expansion(2, [((0, 0), 1.0), ((1, 0), 0.3), ((0, 1), 0.4), ((1, 1), -0.1)])
     h = np.array([0.3])
-    assert _exp_series(0.09, 400)[0][-1] == 0.0
+    assert _exp_series([0.09], [400])[0][0][-1] == 0.0
     for parts in (
         [(x1, h, 400), (x1, h, 2), (x1, -h, 40), (x1, h, 7), (X11, -h, 0), (x1, 2 * h, 12)],
         [(x2, np.array([0.3, 0.4]), 9), (x2, np.array([0.4, 0.3]), 300), (x2, np.array([0.0, 0.5]), 3)],
@@ -306,8 +309,8 @@ def test_distance_parts_sharing_a_series_match_single_part_calls():
 
 
 def test_certificate_middles_from_rows_match_gamma_expansions():
-    # the middle factor's parts are X's rows scaled by lam^|alpha| and pruned
-    # below PRUNE_EPS: each distance is that of the expansion gamma(lam, X)
+    # the middle factor's parts are the expansions gamma(lam, X), degrees
+    # included, pruned below PRUNE_EPS as gamma prunes, and so are their distances
     rng = np.random.default_rng(19)
     pruned = make_expansion(1, {(0,): 1.0, (1,): 0.5, (40,): 1e-250})
     # 1e-256 lam^300 < PRUNE_EPS at n = 2, though it would weigh 300! (1e-301)^2 ~ 1e12
@@ -317,9 +320,11 @@ def test_certificate_middles_from_rows_match_gamma_expansions():
     for x in inputs:
         xn = x / x.mean()
         h1 = first_order_kernel(xn)
-        middles = _l2_distance_to_exponential(limits._middle_parts(xn, h1, ns))
-        for n, middle in zip(ns, middles):
+        parts = limits._middle_parts(xn, h1, ns)
+        middles = _l2_distance_to_exponential(parts)
+        for n, (g, _, _), middle in zip(ns, parts, middles):
             lam = math.sqrt(2.0) / n
+            assert g == gamma(lam, xn) and np.array_equal(g.degrees, gamma(lam, xn).degrees)
             (want,) = _l2_distance_to_exponential([(gamma(lam, xn), lam * h1, xn.max_degree)])
             assert repr(middle) == repr(want) == repr(proof_bound_factors(x, n).middle)
     assert gamma(math.sqrt(2.0) / 64, pruned).n_terms == gamma(math.sqrt(2.0) / 2, heavy).n_terms == 2
@@ -682,6 +687,15 @@ def test_limit_distribution_degenerate_point_mass():
     assert 0.0 <= rep.concentration_at_one <= 1.0
 
 
+def test_distribution_json_carries_the_input_hash(tmp_path):
+    # input-hash is the hash of X, as in the converge CSV, not that of the sampled power
+    x = univariate([2.0, 0.5])
+    rep = limit_distribution_test(x, 8, 1000, seed=3)
+    assert rep.input_hash == expansion_hash(x) != rep.batch.expansion_hash
+    write_distribution_json(rep, tmp_path / "d.json")
+    assert json.loads((tmp_path / "d.json").read_text())["input-hash"] == expansion_hash(x)
+
+
 def test_limit_distribution_nonnegative_square_family():
     from wickchaos import pointwise_product
 
@@ -722,8 +736,7 @@ def test_limit_distribution_ks_bits_are_pinned(x, n, n_samples, seed, ks_hex):
 
 def _unsliced_report_fields(x, n, n_samples, seed, eps):
     """limit_distribution_test's fields from one (N, dim) draw, a mask and a full-length KS pass."""
-    xn, r = limits._normalized_power(x, n)
-    h1 = first_order_kernel(xn)
+    h1, r = limits._normalized_power(x, n)
     hsq = float(h1 @ h1)
     pts = np.random.default_rng(seed).standard_normal((n_samples, x.dim))
     values = sampling._evaluate_points(r.exponents, r.coeffs, r.max_degree, pts)

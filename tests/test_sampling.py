@@ -59,6 +59,10 @@ def test_hermite_degree_cap():
         hermite_eval(HERMITE_DEGREE_CAP + 1, 0.0)
     with pytest.raises(ValueError, match="non-negative"):
         hermite_eval(-1, 0.0)
+    with pytest.raises(ValueError, match="non-negative integer"):
+        hermite_eval(True, 0.0)
+    with pytest.raises(TypeError):
+        hermite_eval(2.5, 0.0)
     # sqrt(k!) overflows float64 from k = 301 on: the value is not finite
     for k, x in ((301, 0.5), (310, -1.2), (398, 2.0), (1000, 0.3)):
         with pytest.raises(ValueError, match="not finite"):
