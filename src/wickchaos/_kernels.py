@@ -183,7 +183,34 @@ def hu_meyer_terms(exp_x, cx, exp_y, cy, max_contraction=-1):
 # every axis, then adds the prefix of the table whose rows now all exist.
 # When every term uses only the row just built (dim 1 in degree order),
 # three rows of the recurrence are kept instead of the whole table.
+# A chunk stops once no remaining term can change a bit of its sums: run on
+# X = max|x| with all signs positive, each step scaled by 1 + 2^-49 and raised
+# by 2^-1022, the loop's operations bound every row and term at |x| <= X, their
+# rounding included (Higham, Accuracy and Stability of Numerical Algorithms,
+# 2002, 2.2). A term below spacing(min|v|)/4 rounds back to every v. A zero or
+# NaN sum, or a non-finite bound, never passes the test.
 # ---------------------------------------------------------------------------
+
+
+def _tail_bounder(exp_t, coefs, kmax, sqrts, ends):
+    """bounds(row 1 of a chunk): per step k, a bound on |each term added after it|, and a first threshold."""
+    grow, tiny = 1.0 + 2.0**-49, 2.0**-1022
+    # step k of a majorant is (X m[k-1] + w m[k-2]) * g + tiny: the loop's w, and g = grow / sqrt(k)
+    steps = [(sqrts[k - 1], grow / sqrts[k]) if sqrts else (k - 1, grow) for k in range(2, max(kmax) + 1)]
+
+    def bounds(xs):
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN bounds never pass the test
+            b = np.abs(coefs)
+            for x, col in zip(xs, exp_t.T):
+                big = float(max(x.max(), -x.min()))
+                m = [1.0, big]
+                for w, g in steps:
+                    m.append((big * m[-1] + w * m[-2]) * g + tiny)
+                b = b * np.array(m)[col] * grow + tiny
+            # inf: no check after the last step; as every |v| < 2 * sum(b), no exit threshold exceeds the first
+            return np.append(np.maximum.accumulate(b[::-1])[::-1], np.inf)[ends].tolist(), np.spacing(2 * b.sum()) / 4
+
+    return bounds
 
 
 def eval_batch(exp_t, coefs, pts, normalized=False):
@@ -201,6 +228,8 @@ def eval_batch(exp_t, coefs, pts, normalized=False):
     nrows = 3 if list(map(min, rows)) == step else kcap + 1
     sqrts = np.sqrt(np.arange(kcap + 1, dtype=np.float64)).tolist() if normalized else None
     terms = list(zip(rows, coefs.tolist()))
+    # a table whose every term is added at the last step has nothing to skip
+    bounds = _tail_bounder(exp_t, coefs, kmax, sqrts, ends) if kcap > 0 and ends[-2] > 0 else None
     chunk = max(1, min(n, EVAL_CHUNK_POINTS, EVAL_CHUNK_CELLS // (nrows * d)))
     # one table and scratch row for every chunk; the last chunk takes views
     full_table, full_tmp = np.empty((d, nrows, chunk)), np.empty(chunk)
@@ -209,6 +238,7 @@ def eval_batch(exp_t, coefs, pts, normalized=False):
         table, tmp, v = full_table[:, :, : hi - lo], full_tmp[: hi - lo], out[lo:hi]
         table[:, 0] = 1.0
         table[:, 1] = pts[lo:hi].T
+        tail, q = bounds(table[:, 1]) if bounds else (None, None)
         axes = [(table[i], pts[lo:hi, i], kmax[i]) for i in range(d)]
         for k, (j, end) in enumerate(zip([0] + ends, ends)):
             for he, x, top in axes:
@@ -224,4 +254,8 @@ def eval_batch(exp_t, coefs, pts, normalized=False):
                 for i in range(1, d):
                     tmp *= table[i, row[i] % nrows]
                 v += tmp
+            if bounds and tail[k] < q:  # q: the last threshold found
+                q = np.spacing(np.abs(v, out=tmp).min()) / 4
+                if tail[k] < q:
+                    break
     return out

@@ -16,13 +16,12 @@ x.max_degree + y.max_degree, so downstream L2 error computations stay exact.
 from __future__ import annotations
 
 import math
-import operator
 from functools import reduce
 
 import numpy as np
 
 from . import _kernels
-from .core import ChaosExpansion, _check_same_dim, gamma, l2_norm
+from .core import ChaosExpansion, _check_degree, _check_int, _check_same_dim, gamma, l2_norm
 
 __all__ = [
     "wick_product",
@@ -54,7 +53,7 @@ def _dyadic_powers(x: ChaosExpansion, ns, rescale: bool = False) -> list[ChaosEx
     factors are Gamma(2^k/n) chain[k]. Scaling before squaring keeps the central
     coefficients, which overflow float64 in the raw power past n ~ 1000, bounded by the L2 norm.
     """
-    ns = [operator.index(n) for n in ns]
+    ns = [_check_int(n, "n") for n in ns]
     if min(ns) < 1:
         raise ValueError("Wick powers need n >= 1 (the zeroth Wick power is undefined)")
     chain = [x]
@@ -78,12 +77,7 @@ def pointwise_product(
     wick_product exactly, bit for bit.
     """
     _check_same_dim(x, y)
-    if max_contraction is None:
-        cap = -1
-    else:
-        cap = operator.index(max_contraction)
-        if cap < 0:
-            raise ValueError("max_contraction must be None or a non-negative integer")
+    cap = -1 if max_contraction is None else _check_degree(max_contraction, "max_contraction")
     exps, vals = _kernels.hu_meyer_terms(x.exponents, x.coeffs, y.exponents, y.coeffs, cap)
     return ChaosExpansion._from_arrays(x.dim, exps, vals)
 

@@ -350,6 +350,13 @@ def _check_dim(dim) -> int:
     return int(dim)
 
 
+def _check_int(value, name: str) -> int:
+    """value as an int through operator.index (TypeError for a non-integer); a bool raises ValueError."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 def _check_degree(degree, name: str) -> int:
     """degree as an int through operator.index (TypeError for a non-integer); a bool or a negative raises ValueError."""
     if isinstance(degree, bool) or operator.index(degree) < 0:

@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
-from .core import ChaosExpansion, _exp_series, _factorial_weighted, _power_tables, expansion_hash
+from .core import ChaosExpansion, _check_int, _exp_series, _factorial_weighted, _power_tables, expansion_hash
 from .core import first_order_kernel, gamma
 from .algebra import _dyadic_powers
 from .sampling import _ks_sorted, _slices, ks_critical_value, sample_batch
@@ -184,7 +183,7 @@ class BoundFactors:
 
 def proof_bound_factors(x: ChaosExpansion, n: int) -> BoundFactors:
     """All factors of the error certificate, each exact in coefficient arithmetic."""
-    n = operator.index(n)
+    n = _check_int(n, "n")
     if n < 2:
         raise ValueError("the certificate is defined for n >= 2")
     xn, h1 = _normalized(x)
@@ -254,7 +253,7 @@ def min_chaos_order(x: ChaosExpansion, n: int):
     Under the S-transform ⋄ multiplies polynomials, which have no zero divisors, so this is
     n times the minimal order of X: at least n for zero-mean X, whose low projections vanish.
     """
-    n = operator.index(n)
+    n = _check_int(n, "n")
     if n < 1:
         raise ValueError("n must be >= 1")
     return n * int(x.degrees[0]) if x.n_terms else None
@@ -304,7 +303,7 @@ def convergence_report(x: ChaosExpansion, ns=None, n_max: int = 512) -> Converge
     """Errors and certificates over an n schedule (default: powers of two)."""
     if ns is None:
         ns = default_n_schedule(n_max)
-    ns = [operator.index(n) for n in ns]
+    ns = [_check_int(n, "n") for n in ns]
     if any(n < 2 for n in ns):
         raise ValueError("schedule entries must be >= 2")
     if len(set(ns)) < len(ns):
@@ -374,7 +373,7 @@ def limit_distribution_test(
     asserted: finite-degree truncation can dip below zero even when the
     untruncated variable is almost surely positive.
     """
-    n_samples = int(n_samples)
+    n_samples = _check_int(n_samples, "n_samples")
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     if n_samples < 1000:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import ChaosExpansion, _check_degree, _factorial_weighted, expansion_hash
+from .core import ChaosExpansion, _check_degree, _check_int, _factorial_weighted, expansion_hash
 
 __all__ = [
     "HERMITE_DEGREE_CAP",
@@ -143,7 +143,7 @@ def _evaluate_draws(x: ChaosExpansion, seed, m: int, point=lambda z: z) -> np.nd
 
 def sample_batch(x: ChaosExpansion, n_samples: int, seed: int) -> SampleBatch:
     """Draw n_samples Gaussian d-vectors from the seeded generator and evaluate X."""
-    n_samples = int(n_samples)
+    n_samples = _check_int(n_samples, "n_samples")
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     values = _evaluate_draws(x, seed, n_samples)
@@ -175,7 +175,7 @@ def ou_apply_mc(x: ChaosExpansion, t: float, xi, n_draws: int, seed: int) -> OuE
     t = float(t)
     if not (t >= 0.0):
         raise ValueError("t must be non-negative")
-    n_draws = int(n_draws)
+    n_draws = _check_int(n_draws, "n_draws")
     if n_draws < 1:
         raise ValueError("n_draws must be positive")
     xi = _check_point(x, xi)
@@ -267,6 +267,8 @@ def _ndtr(a: np.ndarray) -> np.ndarray:
 
 def ks_critical_value(n_samples: int) -> float:
     """Asymptotic 5%-level KS critical value 1.358 / sqrt(N)."""
+    if _check_int(n_samples, "n_samples") < 1:
+        raise ValueError("n_samples must be positive")
     return KS_COEFF_5PCT / math.sqrt(n_samples)
 
 

@@ -137,6 +137,8 @@ def test_wick_power_rejects_zero():
         wick_power(he1, 0)
     with pytest.raises(ValueError, match="n >= 1"):
         wick_power(he1, -2)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        wick_power(he1, True)
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +204,8 @@ def test_pointwise_commutes():
 def test_pointwise_rejects_negative_cap():
     with pytest.raises(ValueError, match="max_contraction"):
         pointwise_product(he1, he1, max_contraction=-1)
+    with pytest.raises(ValueError, match="max_contraction must be a non-negative integer"):
+        pointwise_product(he1, he1, max_contraction=True)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ import pytest
 
 from wickchaos import _kernels
 from wickchaos.core import make_expansion, multi_indexes_of_degree, univariate
+from wickchaos.limits import rescaled_wick_power
+from wickchaos.sampling import sample_batch
 from wickchaos.algebra import wick_product
 
 
@@ -307,3 +309,128 @@ def test_eval_batch_holds_one_table(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * 8 * (35 * 2 * chunk + pts.shape[0])  # one table plus the output
+
+
+# ---------------------------------------------------------------------------
+# The certified exit: a chunk stops once every remaining term provably rounds
+# away, so the sums keep the bits of the full loop.
+# ---------------------------------------------------------------------------
+
+
+class _RowCount:
+    """Stands in for numpy in _kernels, counting np.subtract calls: one per recurrence row built."""
+
+    def __init__(self):
+        self.rows = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def subtract(self, *args, **kwargs):
+        self.rows += 1
+        return np.subtract(*args, **kwargs)
+
+
+def _decaying_table(rng, dim, top, parity, normalized, size=None):
+    """size random alpha with |alpha| <= top (all of them if size is None; only |alpha|
+    of the given parity if one is set) in degree order, with coefficients h^|alpha| /
+    alpha! (h^|alpha| / sqrt(alpha!) when normalized) of random signs, as in a rescaled
+    Wick power. Without a parity the constant is small, so the sums cross zero."""
+    exps = [a for a in itertools.product(range(top + 1), repeat=dim)
+            if sum(a) <= top and parity in (None, sum(a) % 2)]
+    exps.sort(key=lambda a: (sum(a), a))
+    if size is not None:  # keep the terms of degree <= 1
+        low = sum(sum(a) <= 1 for a in exps)
+        exps = exps[:low] + sorted((exps[i] for i in rng.choice(range(low, len(exps)), size - low, replace=False)),
+                                   key=lambda a: (sum(a), a))
+    h = rng.uniform(0.1, 0.5)
+    fact = [math.prod(math.factorial(e) for e in a) for a in exps]
+    coefs = [h ** sum(a) / (math.sqrt(f) if normalized else f) for a, f in zip(exps, fact)]
+    coefs = np.array(coefs) * rng.choice([-1.0, 1.0], len(exps))
+    coefs[0] *= 0.05 if parity is None else 1.0
+    return np.array(exps), coefs
+
+
+def _near_zero(exp_t, coefs, normalized):
+    """A point on the axis of the first-order term exp_t[1] where the sum is near 0 (secant steps)."""
+    point = np.zeros((1, exp_t.shape[1]))
+    axis = int(np.argmax(exp_t[1]))
+
+    def f(t):
+        point[0, axis] = t
+        return _kernels.eval_batch(exp_t, coefs, point, normalized)[0]
+
+    a, b = 0.0, -coefs[0] / coefs[1]
+    for _ in range(10):
+        fa, fb = f(a), f(b)
+        if fa == fb:
+            break
+        a, b = b, b - fb * (b - a) / (fb - fa)
+    f(b)
+    return point[0]
+
+
+def test_eval_batch_exit_keeps_the_bits_of_the_full_loop(monkeypatch):
+    rng = np.random.default_rng(37)
+    count = _RowCount()
+    monkeypatch.setattr(_kernels, "np", count)
+    fired = 0
+    for dim, normalized, parity in itertools.product((1, 2, 3), (False, True), (None, 0, 1)):
+        top, size = {1: (40 if normalized else 30, None), 2: (40, 100), 3: (30, 100)}[dim]
+        exp_t, coefs = _decaying_table(rng, dim, top, parity, normalized, size)
+        pts = 1.5 * rng.standard_normal((64, dim))
+        pts[:6] = 0.0
+        pts[6, 0] = 40.0 if not normalized else -12.0  # far out: its chunk cannot stop early
+        if parity is None:
+            pts[12] = _near_zero(exp_t, coefs, normalized)  # its chunk stops late, if at all
+        expected = _reference_eval(exp_t, coefs, pts, normalized)
+        assert np.array_equal(_kernels.eval_batch(exp_t, coefs, pts, normalized), expected)
+        one = pts[7:8]
+        assert np.array_equal(_kernels.eval_batch(exp_t, coefs, one, normalized),
+                              _reference_eval(exp_t, coefs, one, normalized))
+        # chunks of 8 points: the far point and the zeros keep only their own chunk from stopping
+        with monkeypatch.context() as m:
+            m.setattr(_kernels, "EVAL_CHUNK_POINTS", 8)
+            count.rows = 0
+            assert np.array_equal(_kernels.eval_batch(exp_t, coefs, pts, normalized), expected)
+        fired += count.rows < 8 * sum(max(e - 1, 0) for e in exp_t.max(axis=0))
+    assert fired >= 9  # the exit is exercised: in at least half the tables a chunk stops early
+
+
+def test_eval_batch_exit_threshold_is_a_quarter_spacing():
+    # One point at 40, where He_3's majorant is within 0.4 % of He_3(40). The tail
+    # term t is below half a spacing of v = 1, yet above a quarter: 1 + t rounds to
+    # 1 - 2^-53, the float below 1, whose gap is half as wide. So the exit must not
+    # fire after the constant, although the bound on t is below one spacing of 1.
+    exp_t = np.array([[0], [3]])
+    coefs = np.array([1.0, -1.5 * 2.0**-54 / 63880.0])  # He_3(40) = 63880
+    pts = np.array([[40.0]])
+    expected = _reference_eval(exp_t, coefs, pts, False)
+    assert expected.tolist() == [1.0 - 2.0**-53]
+    assert np.array_equal(_kernels.eval_batch(exp_t, coefs, pts, False), expected)
+
+
+def test_eval_batch_exit_fires_on_the_dist_default_and_not_at_a_zero_sum(monkeypatch):
+    count = _RowCount()
+    monkeypatch.setattr(_kernels, "np", count)
+    # dist's default input 1 + 0.5 He1 at n = 64: degree 64, normalized recurrence
+    r = rescaled_wick_power(univariate([1.0, 0.5]), 64)
+    values = sample_batch(r, 3000, seed=42).values
+    assert r.max_degree == 64 and 0 < count.rows < r.max_degree - 1
+    with monkeypatch.context() as m:  # the full loop: no bound, no exit
+        m.setattr(_kernels, "_tail_bounder", lambda *args: None)
+        count.rows = 0
+        assert np.array_equal(values, sample_batch(r, 3000, seed=42).values)
+        assert count.rows == r.max_degree - 1
+    # an odd table is 0 at x = 0, so that chunk builds every row
+    exp_t = np.arange(1, 64, 2)[:, None]
+    coefs = 0.1 ** np.arange(32)
+    for pts, full in ((np.array([[0.0], [0.3]]), True), (np.array([[0.1], [0.3]]), False)):
+        count.rows = 0
+        out = _kernels.eval_batch(exp_t, coefs, pts, True)
+        assert (count.rows == 62) == full
+        assert np.array_equal(out, _reference_eval(exp_t, coefs, pts, True))
+    # the bounds' sum overflows, the value does not: no warning, and no exit
+    exp_t, coefs, pts = np.array([[0], [1]]), np.array([1e308, -1e308]), np.array([[1.0]])
+    assert _kernels.eval_batch(exp_t, coefs, pts).tolist() == [0.0]
+    assert _reference_eval(exp_t, coefs, pts, False).tolist() == [0.0]

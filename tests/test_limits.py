@@ -505,6 +505,20 @@ def test_convergence_report_schedule_and_rate():
     assert -1.3 <= rep.fitted_rate <= -0.7
 
 
+def test_power_indices_and_counts_are_integers():
+    # True is not n = 1, and a fractional count is not truncated
+    for fn in (
+        lambda: rescaled_wick_power(X11, True),
+        lambda: convergence_error(X11, True),
+        lambda: limit_distribution_test(X11, True, 2000, 1),
+        lambda: min_chaos_order(X11, True),
+    ):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            fn()
+    with pytest.raises(TypeError):
+        limit_distribution_test(X11, 4, 1000.9, 1)
+
+
 def test_convergence_report_rejects_small_n(monkeypatch):
     with pytest.raises(ValueError, match=">= 2"):
         convergence_report(X11, ns=[1, 2])

@@ -187,6 +187,15 @@ def test_sample_batch_moments():
 def test_sample_batch_rejects_empty():
     with pytest.raises(ValueError, match="positive"):
         sample_batch(he1, 0, seed=1)
+    # counts are integers: no truncation, and a bool is not a count
+    with pytest.raises(TypeError):
+        sample_batch(he1, 10.7, 1)
+    with pytest.raises(ValueError, match="n_samples must be an integer"):
+        sample_batch(he1, True, 1)
+    with pytest.raises(TypeError):
+        ou_apply_mc(he1, 0.3, [0.1], 2.5, 1)
+    with pytest.raises(ValueError, match="n_draws must be an integer"):
+        ou_apply_mc(he1, 0.3, [0.1], True, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +340,9 @@ def test_ks_validation():
         ks_statistic(np.array([-1.0, 2.0]), "lognormal", 0.0, 1.0)
     with pytest.raises(ValueError, match="target"):
         ks_statistic(np.array([1.0]), "uniform", 0.0, 1.0)
+    for n in (0, -4):
+        with pytest.raises(ValueError, match="n_samples must be positive"):
+            ks_critical_value(n)
 
 
 def test_ks_rejects_nan_and_accepts_infinities():
