@@ -132,7 +132,10 @@ def _cmd_verify(cfg, _x) -> int:
 
 
 def _cmd_converge(cfg, x) -> int:
-    report = convergence_report(x, ns=cfg["n_list"] or None, n_max=cfg["n_max"])
+    ns = cfg["n_list"]  # null: the doubling schedule
+    if ns is not None and not (isinstance(ns, list) and ns):
+        raise ValueError(f"config value 'n_list' must be a non-empty list, got {ns!r}")
+    report = convergence_report(x, ns=ns, n_max=cfg["n_max"])
     write_convergence_csv(report, cfg["out"], tool_version=__version__)
     sys.stdout.write(f"wrote {cfg['out']} ({len(report.entries)} entries)\n")
     sys.stdout.write(f"fitted_rate: {_fmt(report.fitted_rate)}\n")

@@ -376,6 +376,8 @@ def limit_distribution_test(
     n_samples = _check_int(n_samples, "n_samples")
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
+    if not concentration_eps > 0:
+        raise ValueError(f"concentration_eps must be positive, got {concentration_eps!r}")
     if n_samples < 1000:
         warnings.warn("n_samples below the minimum meaningful size 1000", stacklevel=2)
     h1, r = _normalized_power(x, n)

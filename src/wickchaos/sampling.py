@@ -273,136 +273,257 @@ def ks_critical_value(n_samples: int) -> float:
 
 
 # The samples CSV holds Python's repr of each value, formatted in numpy: the shortest decimal that
-# rounds back to the value, the closest if several (R. Giulietti, "The Schubfach way to render doubles",
-# 2020). Lines per slice: more run faster, but the temporaries (about 370 B a line) would outgrow
-# those of one repr per value.
-_CSV_LINES = 1 << 11
+# rounds back to the value, the closest if several (J. Jeon, "Dragonbox: A New Floating-Point
+# Binary-to-Decimal Conversion Algorithm", 2020). Lines per slice: more run faster, but the temporaries
+# (at most about 86 B a line, in _shortest) would outgrow those of one repr per value; at most 10^4, for
+# the table of the index's last four digits.
+_CSV_LINES = 1 << 13
 _POW10 = np.array([10**i for i in range(19)], dtype=np.uint64)
+_U64 = np.uint64
 
 
 @functools.cache  # built on first use, not at import
 def _csv_tables():
-    """Per decimal exponent k in [-324, 292]: g0, g1 (g = g1 2^63 + g0) in 32-bit halves, g1 and r + 127
-    (g ~ 10^-k 2^-r). Per layout key: the line's length after the comma, each character's offset from
-    the value's first (the newline's drops it). Per decimal point: the exponent's sign and three digits."""
-    g = []
-    for k in range(-324, 293):  # g = floor(10^-k 2^-r) + 1 in [2^125, 2^126), in Python ints
+    """Per decimal exponent k in [-292, 326]: the high and low 64 bits of 10^k 2^(127 - floor(log2 10^k)),
+    rounded up. Per decimal point in [-330, 330): 'e', the sign and the three digits (the first NUL below 100)
+    of the exponent repr writes, all NUL where it writes the point in fixed notation. Per i < 2 10^4: the four
+    characters of i mod 10^4, down a column."""
+    cache = []
+    for k in range(-292, 327):
         p = 10 ** abs(k)
-        r = p.bit_length() - 126 if k <= 0 else -p.bit_length() - 125
-        gk = ((p << -r if r < 0 else p >> r) if k <= 0 else (1 << -r) // p) + 1
-        g1, g0 = gk >> 63, gk & (2**63 - 1)
-        g.append((g0 >> 32, g1 >> 32, g0 & 0xFFFFFFFF, g1 & 0xFFFFFFFF, g1, (r + 127) % 2**64))
-    tab = np.array(g, np.uint64).T.copy()
-    offsets = []
-    for key in range(374):  # 17 (point + 3) + digits - 1 in fixed notation, 340 + 2 (digits - 1) + (|exponent| > 99)
-        sci, big = key >= 340, key >= 340 and key % 2
-        point, nd = (1, (key - 340) // 2 + 1) if sci else (key // 17 - 3, key % 17 + 1)
-        shift, e = max(0, 1 - point), nd + (nd > 1)  # the zeros of "0.00"; where 'e' goes
-        end = e + 4 + big if sci else max(nd, point) + 1 + shift + (point >= nd)
-        exponent = [e, e + 1, e + 2 if big else end, e + 2 + big, e + 3 + big] if sci else [end] * 5
-        digits = [j + (j >= point) + shift if j < nd else end for j in range(16, -1, -1)]
-        offsets.append([end + 1] + digits + [end if sci and nd == 1 else max(point, 1), -1] + exponent)
+        n = p.bit_length()
+        c = (p << 128 - n if n <= 128 else -(-p >> n - 128)) if k >= 0 else -((-1 << 127 + n) // p)
+        cache.append((c >> 64, c & (2**64 - 1)))
     point = np.arange(-330, 330)
     e = np.abs(point - 1)
-    exps = np.array([np.where(point < 1, 45, 43), e // 100 + 48, e // 10 % 10 + 48, e % 10 + 48], np.uint8)
-    return tab, np.array(offsets).T.copy(), exps
+    exps = np.array([e * 0 + 101, np.where(point < 1, 45, 43), (e > 99) * (e // 100 + 48), e // 10 % 10 + 48,
+                     e % 10 + 48])
+    exps[:, (point > -4) & (point < 17)] = 0
+    digits = np.arange(48, 58, dtype=np.uint8)
+    quads = np.array([np.tile(np.repeat(digits, 10 ** (3 - j)), 2 * 10**j) for j in range(4)])
+    return np.array(cache, np.uint64).T.copy(), exps.astype(np.uint8), quads
 
 
-def _schubfach(bits):
+def _mulhi(a, b):
+    """The high 64 bits of a b for uint64 arrays, from 32-bit halves (numpy has no uint128); b is overwritten."""
+    a0, a1, b1 = a & _U64(2**32 - 1), a >> _U64(32), b >> _U64(32)
+    b &= _U64(2**32 - 1)
+    m = a0 * b
+    m >>= _U64(32)
+    b *= a1
+    m += b
+    np.multiply(a0, b1, out=b)
+    b += m & _U64(2**32 - 1)
+    b >>= _U64(32)
+    m >>= _U64(32)
+    b1 *= a1
+    b1 += m
+    b1 += b
+    return b1
+
+
+def _fields(bits):
+    """(f, e, fl) for the float64s with these bits: the value is f 2^e with f < 2^53, and fl = floor(log10 2^e)."""
+    e = ((bits >> _U64(52)) & _U64(2047)).astype(np.int32)
+    f = (e > 0).astype(np.uint64)
+    f <<= _U64(52)
+    f |= bits & _U64(2**52 - 1)
+    np.maximum(e, 1, out=e)
+    e -= 1075
+    fl = e * 315653
+    fl >>= 20
+    return f, e, fl
+
+
+def _cached(fl, e):
+    """The cached 10^k for k = -fl, as its high and low 64 bits, and beta = e + floor(log2 10^k) (uint64)."""
+    hi, lo = np.take(_csv_tables()[0], 292 - fl, axis=1)
+    return hi, lo, (e + ((-fl * 1741647) >> 19)).astype(np.uint64)
+
+
+def _parity(two_f, hi, lo, b):
+    """Whether the integer part of two_f 2^(e-1) 10^k is odd, and whether it has no fraction (to the 64 bits
+    Dragonbox checks): the tests of an end of the rounding interval (two_f = 2 f - 1) and of the value (2 f)."""
+    high = two_f * hi + _mulhi(two_f, np.broadcast_to(lo, two_f.shape).copy())
+    return (high >> _U64(64) - b) & _U64(1) != 0, (high << b | two_f * lo >> _U64(64) - b) == 0
+
+
+def _one_more(s, r, delta):
+    """With one digit more: the value is r - delta / 2 units past 1000 s, so 10 s + round((r - delta / 2) / 100);
+    also dist = r - delta / 2 + 50, and whether it is a whole number of hundreds (a tie the parity settles)."""
+    dist = r - (delta >> _U64(1))
+    dist += _U64(50)
+    q = dist // _U64(100)
+    d = s * _U64(10)
+    d += q
+    q *= _U64(100)
+    return d, dist, q == dist
+
+
+def _shortest(bits):
     """(d, k): d 10^k is the shortest decimal that rounds to the float64 with these bits, the closest if
-    several (even on a tie); garbage for 0, inf and nan. Unlike Java's, it forces no second digit (5e-324)."""
-    frac, bq = bits & np.uint64(2**52 - 1), ((bits >> np.uint64(52)) & np.uint64(2047)).view(np.int64)
-    irregular = (frac == 0) & (bq > 1)  # a power of two past the subnormals: its lower gap is half
-    q = np.maximum(bq, 1) - 1075
-    k = (q * 661971961083 - irregular * 274743187321) >> 41  # floor(log10(2^q)), or of (3/4) 2^q
-    tab = np.take(_csv_tables()[0], k + 324, axis=1)
-    h = (q + tab[5].view(np.int64)).view(np.uint64)
-    c = (frac | (bq > 0) * np.uint64(2**52)) << (h + np.uint64(2))
-    # 4 2^h times the lower end of the rounding interval, the value, the upper end
-    cp = np.stack([c - ((np.uint64(2) - irregular) << h), c, c + (np.uint64(2) << h)])
-    z, c1, c0 = tab[4] * cp, cp >> np.uint64(32), cp & np.uint64(2**32 - 1)
-    del cp
-    x = tab[2:4, None] * c0  # the high 64 bits of g0 cp and g1 cp from 32-bit halves (numpy has no uint128)
-    x >>= np.uint64(32)
-    x += tab[2:4, None] * c1
-    x += tab[0:2, None] * c0
-    x >>= np.uint64(32)
-    x += tab[0:2, None] * c1
-    z >>= np.uint64(1)
-    z += x[0]
-    y = x[1] + (z >> np.uint64(63))
-    y |= (z << np.uint64(1)) != 0  # round to odd: vb is 4 v 10^-k, vbl and vbr its interval's ends
-    vbl, vb, vbr = y
-    odd = bits & np.uint64(1)  # an odd significand leaves the ends out
-    vbl += odd
-    vbr -= odd
-    s, s4 = vb >> np.uint64(2), vb & np.uint64(2**64 - 4)
-    # s or s + 1, whichever lies in the interval; if both, the closer, or the even one on a tie
-    d = s + ((vbl > s4) | ((s4 + np.uint64(4) <= vbr) & ((vb & np.uint64(3)) + (s & np.uint64(1)) >= 3)))
-    sp4 = s // np.uint64(10) * np.uint64(40)  # a digit fewer where one multiple of 10 around s is in it
-    upin = vbl <= sp4
-    d = np.where(upin != (sp4 + np.uint64(40) <= vbr), (sp4 >> np.uint64(2)) + np.uint64(10) * ~upin, d)
-    return d, k
+    several (even on a tie); garbage for 0, inf and nan. By Dragonbox: with 2^e 10^k in [100, 1000), z is the
+    upper end of the value's rounding interval times 10^k, from one 192-bit product, and delta the
+    interval's width. z // 1000 is the answer if it is in the interval, else the nearest with one digit
+    more is; the few on an end of the interval or on a tie take two more products."""
+    f, e, fl = _fields(bits)
+    shorter = (f == _U64(2**52)) & (e > -1074)  # a power of two past the subnormals: its lower gap is half
+    fl -= 2  # k = -fl
+    hi, lo, b = _cached(fl, e)
+    del e
+    f <<= _U64(1)
+    f |= _U64(1)
+    f <<= b  # z = floor(f hi:lo / 2^128) is the upper end (2 f + 1) 2^(e-1) times 10^k
+    delta = hi >> _U64(63) - b  # 2^e 10^k
+    del b
+    z = _mulhi(f, hi.copy())
+    hi *= f
+    lo = _mulhi(f, lo)
+    del f
+    hi += lo
+    z += hi < lo  # z, with its 64 fraction bits in hi
+    del lo
+    s = z // _U64(1000)
+    r = z
+    r -= s * _U64(1000)
+    big = r < delta  # s 10^(k+3) is in the interval
+    d, dist, tie = _one_more(s, r, delta)
+    np.copyto(d, s, where=big)
+    fix = (r == delta) | (r == 0) | (tie & ~big)
+    if fix.any():  # both ends are in the interval if f is even, both out if it is odd
+        i = np.flatnonzero(fix)
+        si, ri, di, odd = s[i], r[i], delta[i], (bits[i] & _U64(1)) != 0
+        fi, ei, _ = _fields(bits[i])
+        (lpar, ypar), (lwhole, ywhole) = _parity(np.stack([fi + fi - _U64(1), fi + fi]), *_cached(fl[i], ei))
+        out = (ri == 0) & (hi[i] == 0) & odd  # z is the right end, and it is out
+        si -= out
+        ri += out * _U64(1000)
+        big[i] = np.where(ri == di, lpar | (lwhole & ~odd), ~out & (ri < di))
+        di, dist, tie = _one_more(si, ri, di)
+        di -= tie & ((ypar != ((dist ^ _U64(50)) & _U64(1) != 0)) | ((di & _U64(1) != 0) & ywhole))
+        d[i] = np.where(big[i], si, di)
+    fl += 2
+    fl += big
+    if shorter.any():
+        i = np.flatnonzero(shorter)
+        _, ei, _ = _fields(bits[i])
+        fs = (ei * 631305 - 261663) >> 21  # floor(log10 (3/4) 2^e)
+        c, _, b = _cached(fs, ei)
+        left = (c - (c >> _U64(54))) >> _U64(11) - b
+        left += (ei < 2) | (ei > 3)  # the left end is not an integer
+        right = ((c + (c >> _U64(53))) >> _U64(11) - b) // _U64(10)
+        near = ((c >> _U64(10) - b) + _U64(1)) >> _U64(1)
+        tie = (near & _U64(1) != 0) & (ei == -77)
+        near += (near < left) & ~tie
+        near -= tie
+        fits = right * _U64(10) >= left
+        d[i] = np.where(fits, right, near)
+        fl[i] = fs + fits
+    return d, fl
 
 
 def _digit_chars(f, out):
-    """The last len(out) <= 18 decimal digits of f < 10^18 (uint64) as characters into out, the last first."""
-    q = np.empty((2, min(len(out), 9) + 1, len(f)), np.uint32)  # q[:, m] = (f mod 10^9, f // 10^9) // 10^m
-    q[1, 0], q[0, 0] = np.divmod(f, np.uint64(10**9))
-    for m in range(q.shape[1] - 1):
-        np.floor_divide(q[:, m], np.uint32(10), out=q[:, m + 1])
-    digits = q[:, :-1] - q[:, 1:] * np.uint32(10)
-    np.add(digits.reshape(-1, len(f))[: len(out)], 48, out=out, casting="unsafe")
+    """The 17 decimal digits of f < 10^17 (uint64) as characters into the rows of out, the first first: the
+    first, then two halves of eight in the bytes of a uint64 (SWAR), split into two 4-digit lanes, then into
+    2- and 1-digit lanes, each by a multiply-shift division exact in its range."""
+    h = f // _U64(10**8)
+    y = np.empty((2, len(f)), np.uint64)
+    np.floor_divide(h, _U64(10**8), out=y[0])
+    np.add(y[0], 48, out=out[0], casting="unsafe")
+    y[0] *= _U64(10**8)
+    np.subtract(h, y[0], out=y[0])
+    h *= _U64(10**8)
+    np.subtract(f, h, out=y[1])
+    del h
+    q = np.empty_like(y)
+    # lane-wise q = y // div, then y = q + (y - q div) 2^width = y 2^width - q (div 2^width - 1)
+    for mul, shift, mask, div, width in ((109951163, 40, 2**64 - 1, 10**4, 32), (5243, 19, 0x7F0000007F, 100, 16),
+                                         (103, 10, 0x000F000F000F000F, 10, 8)):
+        np.multiply(y, _U64(mul), out=q)
+        q >>= _U64(shift)
+        q &= _U64(mask)
+        y <<= _U64(width)
+        q *= _U64((div << width) - 1)
+        y -= q
+    y += _U64(0x3030303030303030)
+    out[1:].reshape(2, 8, -1)[:] = y.view(np.uint8).reshape(2, -1, 8).transpose(0, 2, 1)
+
+
+def _csv_image(v, lo):
+    """The lines f"{i},{v[i - lo]!r}\\n" down the columns of a byte image: index, ',', '-', the "0.000" of a
+    point at or below 0, the digits each followed by the row of a possible '.', the exponent and '\\n' each
+    at a fixed row, NUL where a line has no character there."""
+    n, bits = len(v), v.view(np.uint64)
+    d, k = _shortest(bits)
+    nonfinite = ~np.isfinite(v)
+    odd = nonfinite | (v == 0.0)
+    d[odd] = 0
+    nlen = np.full(n, 14, np.int16)  # digits: 15 to 17 past the subnormals
+    for p in _POW10[14:17]:
+        nlen += d >= p
+    few = d < _POW10[14]
+    if few.any():
+        nlen[few] = np.searchsorted(_POW10, d[few], "right")
+    point = (k + nlen).astype(np.int16)  # repr's value is 0.d1d2... 10^point
+    point[odd] = 1
+    d *= _POW10[17 - nlen]
+    chars = np.empty((17, n), np.uint8)
+    _digit_chars(d, chars)
+    del d
+    fixed = (point > 0) & (point < 17)
+    zeros = np.where((point > -4) & (point < 1), 2 - point, 0)  # the "0." and zeros before the digits
+    keep = chars != 48
+    for step in (1, 2, 4, 8, 16):  # a digit stays if one after it is nonzero, or if it is before the point
+        keep[:-step] |= keep[step:]
+    keep |= np.arange(17, dtype=np.int16)[:, None] <= point * fixed
+    dot = np.where(fixed, point, ~fixed & (zeros == 0) & keep[1])  # a '.' after digit dot, in [1, 16]
+    chars *= keep
+    del keep
+    if nonfinite.any():
+        i = np.flatnonzero(nonfinite)
+        chars[:, i], dot[i] = 0, 0
+        nan, inf = np.frombuffer(b"nan", np.uint8)[:, None], np.frombuffer(b"inf", np.uint8)[:, None]
+        chars[:3, i] = np.where(np.isnan(v[i]), nan, inf)
+    sign = np.signbit(v) & ~np.isnan(v)
+    wi, dots, zw = len(str(lo + n - 1)), int(dot.max()), int(zeros.max())
+    rows = [wi, 1, int(sign.any()), zw, 17 + dots, 5 * int(not (fixed | (zeros > 0)).all()), 1]
+    r = np.cumsum(rows).tolist()  # field j + 1 starts at row r[j]
+    img = np.empty((r[-1], n), np.uint8)
+    img[r[3] : r[3] + 2 * dots : 2] = chars[:dots]
+    img[r[4] - 17 + dots : r[4]] = chars[dots:]
+    del chars
+    np.equal(np.arange(1, dots + 1, dtype=np.int16)[:, None], dot, out=img[r[3] + 1 : r[4] - 17 + dots : 2].view(bool))
+    img[r[3] + 1 : r[4] - 17 + dots : 2] *= np.uint8(46)
+    if rows[5]:
+        np.take(_csv_tables()[1], point + 330, axis=1, out=img[r[4] : r[5]], mode="clip")
+    img[r[0]] = 44
+    np.multiply(sign, 45, out=img[r[1] : r[2]], casting="unsafe")
+    np.less(np.arange(zw, dtype=np.int16)[:, None], zeros, out=img[r[2] : r[3]].view(bool))
+    img[r[2] : r[3]] *= np.array([48, 46, 48, 48, 48], np.uint8)[:zw, None]
+    img[-1] = 10
+    high, low = divmod(lo, 10**4)  # the last four digits from the table, the others change once at most
+    img[max(wi - 4, 0) : wi] = _csv_tables()[2][max(4 - wi, 0) :, low : low + n]
+    for h, cols in ((high, slice(0, 10**4 - low)), (high + 1, slice(10**4 - low, n))) if wi > 4 else ():
+        img[: wi - 4, cols] = np.frombuffer(b"%0*d" % (wi, h * 10**4), np.uint8)[-wi:-4, None]
+    if lo < 10 ** (wi - 1):  # leading zeros are NUL
+        img[: wi - 1] *= np.arange(lo, lo + n, dtype=np.uint64) >= _POW10[wi - 1 : 0 : -1, None]
+    return img
 
 
 def _csv_lines(v, lo):
-    """The bytes of f"{i},{v[i - lo]!r}\\n" for i = lo, lo + 1, ...: one buffer prefilled with '0', the
-    characters scattered in (a dropped one onto its line's newline, written last)."""
-    _, offsets, exps = _csv_tables()
-    n, bits = len(v), v.view(np.uint64)
-    chars = np.empty((24, n), np.uint8)  # 17 digits, '.', '-' or ',', 'e', the exponent's sign and digits
-    d, k = _schubfach(bits)
-    nlen = np.searchsorted(_POW10, d, "right")
-    _digit_chars(d * _POW10[17 - nlen], chars[:17])  # repr's value is 0.d1d2... 10^point
-    nd, point = 17 - np.argmax(chars[:17] != 48, axis=0), k + nlen
-    del d, k, nlen
-    sign, nonfinite = (bits >> np.uint64(63)).view(np.int64), ~np.isfinite(v)
-    odd = nonfinite | (v == 0.0)
-    if odd.any():  # +-0.0 is the digit 0 with the point after it; inf and nan are patched in below
-        chars[:17, odd], nd[odd], point[odd], sign[np.isnan(v)] = 48, 1, 1, 0
-    sci = (point <= -4) | (point > 16)  # Python's repr: 1e-05 and 1e+16, but 0.0001 and 1000000000000000.0
-    rows = 24 if sci.any() else 19
-    key = np.where(sci, 338 + 2 * nd + (np.abs(point - 1) > 99), 17 * point + 50 + nd)
-    pos = np.take(offsets[: rows + 1], key, axis=1)
-    idx = np.arange(lo, lo + n)
-    ni = np.searchsorted(_POW10[1:].view(np.int64), idx, "right") + 1
-    length = ni + 1 + sign + pos[0]
-    end = np.cumsum(length)
-    comma = end - length + ni
-    buf = np.full(end[-1], 48, np.uint8)
-    pos = pos[1:]
-    pos += comma + 1 + sign
-    chars[17] = 46
-    np.add(sign, 44, out=chars[18], casting="unsafe")
-    if rows > 19:
-        chars[19] = 101
-        np.take(exps, point + 330, axis=1, out=chars[20:])
-    buf[pos.ravel()] = chars[:rows].ravel()
-    del pos, chars
-    chars = np.empty((len(str(lo + n - 1)), n), np.uint8)
-    _digit_chars(idx.view(np.uint64), chars)
-    m1 = np.arange(1, len(chars) + 1)[:, None]
-    buf[(comma - m1 * (m1 <= ni)).ravel()] = chars.ravel()
-    buf[end - 1] = 10
-    buf[comma] = 44
-    for i in np.flatnonzero(nonfinite).tolist():
-        buf[comma[i] + 1 + sign[i] :][:3] = np.frombuffer(b"nan" if np.isnan(v[i]) else b"inf", np.uint8)
-    return buf
+    """The bytes of f"{i},{v[i - lo]!r}\\n" for i = lo, lo + 1, ...: the image's columns, NULs dropped, a quarter
+    of the lines at a time so that the masks and the lines stay below the image in memory."""
+    img = np.ascontiguousarray(_csv_image(v, lo).T)
+    parts = [part[part != 0] for part in np.array_split(img, 4)]
+    del img
+    return np.concatenate(parts)
 
 
 def write_samples_csv(batch: SampleBatch, path, tool_version: str = "") -> None:
     """Write samples as 'index,value' CSV plus a JSON metadata sidecar; each value is its Python repr."""
     values = np.ascontiguousarray(batch.values, dtype=np.float64)
+    if values.shape != (batch.size,):
+        raise ValueError(f"the batch holds values of shape {values.shape}, not ({batch.size},)")
     with open(path, "wb") as fh:
         tool = f"# tool: wickchaos {tool_version}\n" if tool_version else ""
         fh.write(f"{tool}# seed: {batch.seed}\n# expansion-hash: {batch.expansion_hash}\nindex,value\n".encode())

@@ -701,6 +701,13 @@ def test_limit_distribution_degenerate_point_mass():
     assert 0.0 <= rep.concentration_at_one <= 1.0
 
 
+@pytest.mark.parametrize("eps", [0.0, -1.0, float("nan")])
+def test_limit_distribution_rejects_a_non_positive_concentration_eps(eps):
+    # at h1 = 0 a negative eps would report a concentration of 0 whatever the samples
+    with pytest.raises(ValueError, match="concentration_eps must be positive"):
+        limit_distribution_test(univariate([1.0, 0.0, 0.5]), 16, 2000, seed=4, concentration_eps=eps)
+
+
 def test_distribution_json_carries_the_input_hash(tmp_path):
     # input-hash is the hash of X, as in the converge CSV, not that of the sampled power
     x = univariate([2.0, 0.5])

@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 
 from wickchaos import (
@@ -437,6 +439,15 @@ def test_write_samples_csv_and_sidecar(tmp_path):
     assert meta["expansion-hash"] == batch.expansion_hash
 
 
+@pytest.mark.parametrize("values", [np.array([1.0, 2.0, 3.0]), np.ones((5, 1)), np.ones(6)])
+def test_write_samples_csv_rejects_values_that_are_not_size_long(values, tmp_path):
+    # the sidecar's N is the batch size: the CSV must hold exactly that many lines
+    batch = sampling.SampleBatch(values=values, seed=1, size=5, expansion_hash="x")
+    with pytest.raises(ValueError, match=r"not \(5,\)"):
+        write_samples_csv(batch, tmp_path / "s.csv")
+    assert not (tmp_path / "s.csv").exists()
+
+
 @pytest.mark.parametrize(
     "dim, entries, digest",
     [
@@ -512,6 +523,27 @@ def test_csv_lines_are_repr_at_the_edges():
         [0.1, 0.5, 1.0, 100.0, 123.456, 1 / 3],
     ]))
     assert _formatted_lines(values) == _repr_lines(values)
+
+
+# sign, exponent and fraction fields: zeros, subnormals, powers of two, infinities and nan payloads
+_FLOAT_BITS = st.builds(lambda sign, exp, frac: sign << 63 | exp << 52 | frac, st.integers(0, 1),
+                        st.sampled_from([0, 1, 2, 1023, 2045, 2046, 2047]) | st.integers(0, 2047),
+                        st.sampled_from([0, 1, 2**51, 2**52 - 1]) | st.integers(0, 2**52 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    head=st.lists(_FLOAT_BITS | st.floats(width=64).map(lambda x: int(np.float64(x).view(np.uint64))), max_size=40),
+    n=st.integers(1, sampling._CSV_LINES),
+    lo=st.integers(0, 10**15),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_csv_lines_are_repr_of_any_bit_patterns(head, n, lo, seed):
+    # one slice of n lines from index lo: drawn bit patterns first, the rest uniform
+    bits = np.random.default_rng(seed).integers(0, 2**64, n, dtype=np.uint64)
+    bits[: len(head)] = head[:n]
+    values = bits.view(np.float64)
+    assert sampling._csv_lines(values, lo).tobytes() == _repr_lines(values, lo)
 
 
 def test_csv_lines_index_widths_across_slices(monkeypatch):
