@@ -245,9 +245,6 @@ _OPEN_FD = object()
     "command, cfg",
     [
         ("converge", {"n_list": [2.5, 4]}),
-        ("converge", {"n_list": []}),  # only null or an absent key is the doubling schedule
-        ("converge", {"n_list": False}),
-        ("converge", {"n_list": 0}),
         ("dist", {"n": [3]}),
         ("verify", {"tolerance": True}),
         ("verify", {"cases": True}),
@@ -264,10 +261,13 @@ _OPEN_FD = object()
         ("dist", {"samples": 1000, "samples_out": _OPEN_FD}),
         ("dist", {"concentration_eps": float("nan"), "samples": 1000, "n": 4}),
         ("dist", {"concentration_eps": float("inf"), "samples": 1000, "n": 4}),
-        ("dist", {"concentration_eps": -1.0, "samples": 1000, "n": 4}),
-        ("dist", {"concentration_eps": 0, "samples": 1000, "n": 4}),
         ("verify", {"tolerance": "0.5", "cases": 1}),
         ("verify", {"tolerance": 10**400, "cases": 1}),
+        ("converge", {"n_list": []}),  # only null or an absent key is the doubling schedule
+        ("converge", {"n_list": False}),
+        ("converge", {"n_list": 0}),
+        ("dist", {"concentration_eps": -1.0, "samples": 1000, "n": 4}),
+        ("dist", {"concentration_eps": 0, "samples": 1000, "n": 4}),
     ],
 )
 def test_mistyped_config_value_exits_2(command, cfg, tmp_path, capsys):
