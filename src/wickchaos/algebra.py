@@ -98,12 +98,10 @@ def s_transform_eval(x: ChaosExpansion, h) -> float:
     kmax = int(x.exponents.max())
     powers = np.empty((x.dim, kmax + 1))
     powers[:, 0] = 1.0
+    powers[:, 1:] = h[:, None]
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is rejected below
-        for e in range(1, kmax + 1):
-            powers[:, e] = powers[:, e - 1] * h
-        monomials = np.ones(x.n_terms)
-        for i in range(x.dim):
-            monomials *= powers[i, x.exponents[:, i]]
+        np.multiply.accumulate(powers, axis=1, out=powers)
+        monomials = powers[np.arange(x.dim), x.exponents].prod(axis=1)
         value = float(np.sum(x.coeffs * monomials))
     if not math.isfinite(value):
         raise ValueError(f"S-transform value {value!r} is not finite in float64")

@@ -164,20 +164,13 @@ def _power_tables(h: np.ndarray, degree: int) -> np.ndarray:
 def _exp_series(hsqs, tops) -> list:
     """Per (hsq, top) pair, the terms hsq^k / k! for k = 0..top and the tail sum_{k > top} hsq^k / k!.
 
-    The terms are a prefix of one power table per hsq (those of one length from
-    one call); the tail adds term_k = term_{k-1} * (hsq / k) until one is 0 or
-    below 1e-18 of the sum, and raises ValueError when it is not finite in float64.
+    The terms are a prefix of the pair's row of one power table; the tail adds
+    term_k = term_{k-1} * (hsq / k) until one is 0 or below 1e-18 of the sum,
+    and raises ValueError when it is not finite in float64.
     """
-    longest = {}
-    for hsq, top in zip(hsqs, tops):
-        longest[hsq] = max(longest.get(hsq, 0), top)
-    tables = {}
-    for top in set(longest.values()):
-        group = [hsq for hsq in longest if longest[hsq] == top]
-        tables.update(zip(group, _power_tables(np.array(group), top)))
     series = []
-    for hsq, top in zip(hsqs, tops):
-        terms, tail = tables[hsq][: top + 1], 0.0
+    for hsq, top, row in zip(hsqs, tops, _power_tables(np.array(hsqs), max(tops))):
+        terms, tail = row[: top + 1], 0.0
         term = float(terms[-1])
         for k in range(top + 1, top + 1 + _EXP_TAIL_MAX_TERMS):
             term *= hsq / k

@@ -94,10 +94,10 @@ def _multiset_counts(k, s_minus_1):
 
 
 def _l2_distance_to_exponential(parts) -> list[float]:
-    """Exact ||X - E(h)|| for each (X, h, support_degree) in parts, all X of one dim.
+    """Exact ||X - E(h)|| for each (X, h) in parts, all X of one dim.
 
-    E(h) carries h^alpha / alpha! at every alpha. With D = max(support_degree,
-    X.max_degree) the squared distance is
+    E(h) carries h^alpha / alpha! at every alpha. With D = X.max_degree the
+    squared distance is
       sum over stored alpha of alpha! (x_alpha - t_alpha)^2
         (t_alpha = h^alpha / alpha!, which is 0 off supp h),
       + per degree k <= D, the target mass at unstored alpha: by the
@@ -109,9 +109,9 @@ def _l2_distance_to_exponential(parts) -> list[float]:
     with len(parts) except for each part's two slice sums; every value is the
     one a single-part call gives, bit for bit.
     """
-    xs = [x for x, _, _ in parts]
+    xs = [x for x, _ in parts]
     dim = xs[0].dim
-    h = np.array([hv for _, hv, _ in parts], dtype=np.float64)
+    h = np.array([hv for _, hv in parts], dtype=np.float64)
     part = np.arange(len(parts)).repeat([x.n_terms for x in xs])
     exps = np.concatenate([x.exponents for x in xs])
     # the table entries are NaN at h_i = 0 for e >= 1, which marks the rows
@@ -125,7 +125,7 @@ def _l2_distance_to_exponential(parts) -> list[float]:
     diff_sq, target_sq = _factorial_weighted(np.concatenate((exps, exps)), (both, both), 1).reshape(2, -1)
 
     # every part's series terms, degree k of part p at masses[starts[p] + k]
-    series = _exp_series([float(hv @ hv) for _, hv, _ in parts], [max(int(d), x.max_degree) for x, _, d in parts])
+    series = _exp_series([float(hv @ hv) for _, hv in parts], [x.max_degree for x in xs])
     masses = np.concatenate([terms for terms, _ in series])
     lengths = [terms.shape[0] for terms, _ in series]
     starts = np.array(list(accumulate(lengths[:-1], initial=0)))
@@ -135,10 +135,9 @@ def _l2_distance_to_exponential(parts) -> list[float]:
     # h = 0 counts as s = 1, which is right at degree 0 and harmless above,
     # where its masses are 0
     k = np.arange(masses.shape[0]) - starts.repeat(lengths)
-    s_minus_1 = np.array([max(np.count_nonzero(hv), 1) - 1 for _, hv, _ in parts]).repeat(lengths)
+    s_minus_1 = np.array([max(np.count_nonzero(hv), 1) - 1 for _, hv in parts]).repeat(lengths)
     complete = counts == _multiset_counts(k, s_minus_1)
-    # masses becomes the unstored mass; above a part's top degree nothing is
-    # stored and no degree is complete, so its masses stay as they are
+    # masses becomes the unstored mass
     masses = np.where(complete, 0.0, np.maximum(masses - stored, 0.0))
     # one pairwise .sum() per slice, as for a single part (np.add.reduceat
     # sums sequentially and changes bits)
@@ -154,12 +153,12 @@ def _l2_distance_to_exponential(parts) -> list[float]:
 def convergence_error(x: ChaosExpansion, n: int) -> float:
     """Exact L2 distance || Gamma(1/n)(X/E[X])^{⋄n} - E(h1) ||.
 
-    h1 is the first-order kernel of X/E[X]. Kept degrees run to
-    n * x.max_degree; the exponential mass beyond that enters through the
+    h1 is the first-order kernel of X/E[X]. The sum runs over the degrees the
+    power stores; the exponential mass beyond them enters through the
     closed-form series tail, so there is no truncation error.
     """
     h1, r = _normalized_power(x, n)
-    return _l2_distance_to_exponential([(r, h1, n * x.max_degree)])[0]
+    return _l2_distance_to_exponential([(r, h1)])[0]
 
 
 @dataclass(frozen=True)
@@ -200,7 +199,7 @@ def _exp_or_inf(f, value: float) -> float:
 def _middle_parts(xn: ChaosExpansion, h1: np.ndarray, ns) -> list:
     """Distance parts of the certificate's middles: Gamma(lam) X against E(lam h1), lam = sqrt(2)/n, per n in ns."""
     lams = [math.sqrt(2.0) / n for n in ns]
-    return [(gamma(lam, xn), lam * h1, xn.max_degree) for lam in lams]
+    return [(gamma(lam, xn), lam * h1) for lam in lams]
 
 
 def _bound_factors(xn: ChaosExpansion, h1: np.ndarray, ns, middles) -> list[BoundFactors]:
@@ -294,9 +293,10 @@ def _running_rates(ns, errors) -> tuple[float, ...]:
 
 def default_n_schedule(n_max: int = 512) -> list[int]:
     """Powers of two from 2 up to n_max."""
+    n_max = _check_int(n_max, "n_max")
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    return [1 << k for k in range(1, int(n_max).bit_length())]
+    return [1 << k for k in range(1, n_max.bit_length())]
 
 
 def convergence_report(x: ChaosExpansion, ns=None, n_max: int = 512) -> ConvergenceReport:
@@ -313,7 +313,7 @@ def convergence_report(x: ChaosExpansion, ns=None, n_max: int = 512) -> Converge
         xn, h1 = _normalized(x)
         # the errors and the certificate's middles in one distance pass
         distances = _l2_distance_to_exponential(
-            [(r, h1, n * x.max_degree) for n, r in zip(ns, _dyadic_powers(xn, ns, rescale=True))]
+            [(r, h1) for r in _dyadic_powers(xn, ns, rescale=True)]
             + _middle_parts(xn, h1, ns)
         )
         for n, err, factors in zip(ns, distances, _bound_factors(xn, h1, ns, distances[len(ns) :])):
@@ -376,8 +376,8 @@ def limit_distribution_test(
     n_samples = _check_int(n_samples, "n_samples")
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    if not concentration_eps > 0:
-        raise ValueError(f"concentration_eps must be positive, got {concentration_eps!r}")
+    if not 0 < concentration_eps < math.inf:
+        raise ValueError(f"concentration_eps must be positive and finite, got {concentration_eps!r}")
     if n_samples < 1000:
         warnings.warn("n_samples below the minimum meaningful size 1000", stacklevel=2)
     h1, r = _normalized_power(x, n)

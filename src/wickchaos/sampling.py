@@ -195,8 +195,10 @@ def ks_statistic(samples, target: str, mu: float, sigma: float) -> float:
     n = values.shape[0]
     if n == 0:
         raise ValueError("empty sample batch")
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
+    if not math.isfinite(mu):
+        raise ValueError(f"mu must be finite, got {mu!r}")
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be finite and positive, got {sigma!r}")
     if target not in ("normal", "lognormal"):
         raise ValueError(f"target must be 'normal' or 'lognormal', got {target!r}")
     x = np.sort(values)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .core import (
     ChaosExpansion,
+    _check_int,
     constant,
     exp_vector,
     gamma,
@@ -194,15 +195,16 @@ def run_suite(name: str, seed: int = 2024, cases: int = 1000, tolerance=None) ->
     """Run one named suite on a fresh seeded generator; the worst case decides."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    if int(cases) < 1:
+    cases = _check_int(cases, "cases")
+    if cases < 1:
         raise ValueError(f"cases must be at least 1, got {cases}")
     check, default_tol = _SUITES[name]
     tol = default_tol if tolerance is None else float(tolerance)
     if not math.isfinite(tol):
         raise ValueError(f"tolerance must be finite, got {tolerance}")
     rng = np.random.default_rng([seed, SUITE_NAMES.index(name)])
-    worst = float(max(check(rng) for _ in range(1 if name in _FIXED_CASE else int(cases))))
-    return SuiteResult(name=name, cases=int(cases), max_deviation=worst, tolerance=tol, passed=worst <= tol)
+    worst = float(max(check(rng) for _ in range(1 if name in _FIXED_CASE else cases)))
+    return SuiteResult(name=name, cases=cases, max_deviation=worst, tolerance=tol, passed=worst <= tol)
 
 
 def run_suites(seed: int = 2024, cases: int = 1000, tolerance=None):

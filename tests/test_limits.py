@@ -14,6 +14,7 @@ from wickchaos import (
     constant,
     convergence_error,
     convergence_report,
+    default_n_schedule,
     exp_vector,
     expansion_hash,
     first_order_kernel,
@@ -270,9 +271,11 @@ def test_distance_to_exponential_matches_enumeration():
                 h[int(rng.integers(dim))] = 0.0  # sparse supp h
             if trial == 5:
                 h[:] = 0.0
+            # the enumeration walks to max(support_degree, X's top), the distance
+            # pass to X's top, and the series tail covers the degrees between
+            got = _l2_distance_to_exponential([(x, h)])[0]
             for support_degree in (0, 3, 12):
                 expected = _enumerating_distance(x, h, support_degree)
-                got = _l2_distance_to_exponential([(x, h, support_degree)])[0]
                 worst = max(worst, abs(got - expected) / expected)
     # rescaled powers with n * deg > 170: factorials overflow, log-space weights
     for x, n in (
@@ -286,24 +289,30 @@ def test_distance_to_exponential_matches_enumeration():
         degree = n * x.max_degree
         assert degree > 170
         expected = _enumerating_distance(r, h, degree)
-        got = _l2_distance_to_exponential([(r, h, degree)])[0]
+        got = _l2_distance_to_exponential([(r, h)])[0]
         assert got == convergence_error(x, n)
         worst = max(worst, abs(got - expected) / expected)
     assert worst <= 1e-13
 
 
 def test_distance_parts_sharing_a_series_match_single_part_calls():
-    # parts with one |h|^2 (h, -h, or h permuted) and different top degrees
-    # share one exponential series: each takes a prefix, and its tail goes on
-    # from the prefix's last term, 0 at degree 400 where 0.09^k / k! has underflowed
+    # parts with one |h|^2 (h, -h, or h permuted) and different stored top
+    # degrees take rows of one exponential series table: each takes a prefix, and
+    # its tail goes on from the prefix's last term, 0 at degree 400 where
+    # 0.09^k / k! has underflowed
     x1 = univariate([1.0, 0.3, -0.2])
+    x40 = make_expansion(1, {(0,): 1.0, (1,): 0.5, (40,): 1e-250})
+    x400 = make_expansion(1, {(0,): 1.0, (1,): 0.3, (400,): 1e-200})
+    x7 = univariate([1.0, 0.3, 0.0, 0.0, 0.0, 0.0, 0.0, 1e-3])
     x2 = make_expansion(2, [((0, 0), 1.0), ((1, 0), 0.3), ((0, 1), 0.4), ((1, 1), -0.1)])
+    x2_300 = make_expansion(2, {(0, 0): 1.0, (0, 1): 0.5, (300, 0): 1e-200})
     h = np.array([0.3])
     assert _exp_series([0.09], [400])[0][0][-1] == 0.0
     for parts in (
-        [(x1, h, 400), (x1, h, 2), (x1, -h, 40), (x1, h, 7), (X11, -h, 0), (x1, 2 * h, 12)],
-        [(x2, np.array([0.3, 0.4]), 9), (x2, np.array([0.4, 0.3]), 300), (x2, np.array([0.0, 0.5]), 3)],
+        [(x400, h), (x1, h), (x40, -h), (x7, h), (X11, -h), (x1, 2 * h)],
+        [(x2, np.array([0.3, 0.4])), (x2_300, np.array([0.4, 0.3])), (x2, np.array([0.0, 0.5]))],
     ):
+        assert len({x.max_degree for x, _ in parts}) > 1
         batched = _l2_distance_to_exponential(parts)
         assert [repr(v) for v in batched] == [repr(_l2_distance_to_exponential([p])[0]) for p in parts]
 
@@ -322,10 +331,10 @@ def test_certificate_middles_from_rows_match_gamma_expansions():
         h1 = first_order_kernel(xn)
         parts = limits._middle_parts(xn, h1, ns)
         middles = _l2_distance_to_exponential(parts)
-        for n, (g, _, _), middle in zip(ns, parts, middles):
+        for n, (g, _), middle in zip(ns, parts, middles):
             lam = math.sqrt(2.0) / n
             assert g == gamma(lam, xn) and np.array_equal(g.degrees, gamma(lam, xn).degrees)
-            (want,) = _l2_distance_to_exponential([(gamma(lam, xn), lam * h1, xn.max_degree)])
+            (want,) = _l2_distance_to_exponential([(gamma(lam, xn), lam * h1)])
             assert repr(middle) == repr(want) == repr(proof_bound_factors(x, n).middle)
     assert gamma(math.sqrt(2.0) / 64, pruned).n_terms == gamma(math.sqrt(2.0) / 2, heavy).n_terms == 2
 
@@ -517,6 +526,11 @@ def test_power_indices_and_counts_are_integers():
             fn()
     with pytest.raises(TypeError):
         limit_distribution_test(X11, 4, 1000.9, 1)
+    for fn in (lambda: default_n_schedule(1024.7), lambda: convergence_report(X11, n_max=1024.7)):
+        with pytest.raises(TypeError):
+            fn()
+    with pytest.raises(ValueError, match="n_max must be an integer"):
+        default_n_schedule(True)
 
 
 def test_convergence_report_rejects_small_n(monkeypatch):
@@ -701,7 +715,7 @@ def test_limit_distribution_degenerate_point_mass():
     assert 0.0 <= rep.concentration_at_one <= 1.0
 
 
-@pytest.mark.parametrize("eps", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf")])
 def test_limit_distribution_rejects_a_non_positive_concentration_eps(eps):
     # at h1 = 0 a negative eps would report a concentration of 0 whatever the samples
     with pytest.raises(ValueError, match="concentration_eps must be positive"):

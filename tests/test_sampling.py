@@ -338,6 +338,11 @@ def test_ks_validation():
         ks_statistic(np.array([]), "normal", 0.0, 1.0)
     with pytest.raises(ValueError, match="sigma"):
         ks_statistic(np.array([1.0]), "normal", 0.0, 0.0)
+    # a NaN mu read as a perfect fit (0.0), an infinite sigma as 0.5
+    with pytest.raises(ValueError, match="mu must be finite"):
+        ks_statistic(np.array([1.0, 2.0]), "normal", math.nan, 1.0)
+    with pytest.raises(ValueError, match="sigma must be finite"):
+        ks_statistic(np.array([1.0, 2.0]), "lognormal", 0.0, math.inf)
     with pytest.raises(ValueError, match="non-positive"):
         ks_statistic(np.array([-1.0, 2.0]), "lognormal", 0.0, 1.0)
     with pytest.raises(ValueError, match="target"):

@@ -56,6 +56,16 @@ def test_non_finite_tolerance_rejected(tolerance):
         run_suite("gamma-composition", cases=1, tolerance=tolerance)
 
 
+def test_case_count_is_an_integer():
+    # 2.7 ran 2 cases and reported cases=2
+    with pytest.raises(TypeError):
+        run_suite("gamma-composition", cases=2.7)
+    with pytest.raises(ValueError, match="cases must be an integer"):
+        run_suite("gamma-composition", cases=True)
+    with pytest.raises(ValueError, match="cases must be at least 1"):
+        run_suite("gamma-composition", cases=0)
+
+
 def test_suite_results_are_pinned():
     # any change to a suite's draws, its worst-case fold or its tolerance
     # changes some (name, cases, worst deviation, tolerance, verdict)
