@@ -15,7 +15,7 @@ import sys
 import warnings
 
 from . import __version__
-from .core import from_json_dict, to_json_dict
+from .core import _rewrite, from_json_dict, to_json_dict
 from .limits import (
     convergence_report,
     limit_distribution_test,
@@ -51,7 +51,7 @@ _DEFAULTS = {
 # config keys whose values must be integers / finite real numbers; a JSON boolean is neither
 _INT_KEYS = ("cases", "seed", "n_max", "n", "samples")
 _REAL_KEYS = ("tolerance", "concentration_eps")
-# output paths: a JSON integer would reach open() as a file descriptor
+# output paths: a JSON integer or boolean is not a path
 _PATH_KEYS = ("out", "samples_out")
 
 
@@ -126,7 +126,7 @@ def _cmd_verify(cfg, _x) -> int:
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if cfg["out"]:
-        with open(cfg["out"], "w", newline="\n") as fh:
+        with _rewrite(cfg["out"]) as fh:
             fh.write(text)
     return 0 if not failed else 1
 

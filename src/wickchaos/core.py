@@ -24,6 +24,8 @@ import hashlib
 import json
 import math
 import operator
+import os
+import stat
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -501,7 +503,7 @@ def max_coeff_deviation(x: ChaosExpansion, y: ChaosExpansion) -> float:
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization: {"dim": d, "coeffs": [{"alpha": [...], "c": float}]}
+# JSON serialization: {"dim": d, "coeffs": [{"alpha": [...], "c": float}]}, and output files
 # ---------------------------------------------------------------------------
 
 
@@ -527,3 +529,16 @@ def expansion_hash(x: ChaosExpansion) -> str:
     """Deterministic content hash of the canonical serialized form."""
     payload = json.dumps(to_json_dict(x), separators=(",", ":"), sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+@contextlib.contextmanager
+def _rewrite(path, mode: str = "w"):
+    """open(path, mode) for an output, written over in place and cut to its new length on exit: truncating a file
+    that holds data at open costs journal work. Only a regular file is cut, so pipes and /dev/null work as in open()."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, mode, newline=None if "b" in mode else "\n") as fh:
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()

@@ -24,7 +24,7 @@ from itertools import accumulate
 import numpy as np
 
 from .core import ChaosExpansion, _check_int, _exp_series, _factorial_weighted, _power_tables, expansion_hash
-from .core import first_order_kernel, gamma
+from .core import _rewrite, first_order_kernel, gamma
 from .algebra import _dyadic_powers
 from .sampling import _ks_sorted, _slices, ks_critical_value, sample_batch
 
@@ -323,7 +323,7 @@ def convergence_report(x: ChaosExpansion, ns=None, n_max: int = 512) -> Converge
 
 def write_convergence_csv(report: ConvergenceReport, path, tool_version: str = "") -> None:
     """CSV export: n,error,bound,norm_gamma,rate_running plus comment metadata."""
-    with open(path, "w", newline="\n") as fh:
+    with _rewrite(path) as fh:
         if tool_version:
             fh.write(f"# tool: wickchaos {tool_version}\n")
         fh.write(f"# input-hash: {report.input_hash}\n")
@@ -429,6 +429,6 @@ def write_distribution_json(report: DistributionReport, path, tool_version: str 
         "tool": f"wickchaos {tool_version}" if tool_version else "wickchaos",
         "input-hash": report.input_hash,
     }
-    with open(path, "w", newline="\n") as fh:
+    with _rewrite(path) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")

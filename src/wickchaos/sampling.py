@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import ChaosExpansion, _check_degree, _check_int, _factorial_weighted, expansion_hash
+from .core import ChaosExpansion, _check_degree, _check_int, _factorial_weighted, _rewrite, expansion_hash
 
 __all__ = [
     "HERMITE_DEGREE_CAP",
@@ -146,10 +146,11 @@ def sample_batch(x: ChaosExpansion, n_samples: int, seed: int) -> SampleBatch:
     n_samples = _check_int(n_samples, "n_samples")
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
+    seed = _check_int(seed, "seed")
     values = _evaluate_draws(x, seed, n_samples)
     values.setflags(write=False)
     return SampleBatch(
-        values=values, seed=int(seed), size=n_samples, expansion_hash=expansion_hash(x)
+        values=values, seed=seed, size=n_samples, expansion_hash=expansion_hash(x)
     )
 
 
@@ -178,6 +179,7 @@ def ou_apply_mc(x: ChaosExpansion, t: float, xi, n_draws: int, seed: int) -> OuE
     n_draws = _check_int(n_draws, "n_draws")
     if n_draws < 1:
         raise ValueError("n_draws must be positive")
+    seed = _check_int(seed, "seed")
     xi = _check_point(x, xi)
     if t == 0.0:
         return OuEstimate(value=evaluate(x, xi), std_error=0.0, n_draws=n_draws)
@@ -526,7 +528,7 @@ def write_samples_csv(batch: SampleBatch, path, tool_version: str = "") -> None:
     values = np.ascontiguousarray(batch.values, dtype=np.float64)
     if values.shape != (batch.size,):
         raise ValueError(f"the batch holds values of shape {values.shape}, not ({batch.size},)")
-    with open(path, "wb") as fh:
+    with _rewrite(path, "wb") as fh:
         tool = f"# tool: wickchaos {tool_version}\n" if tool_version else ""
         fh.write(f"{tool}# seed: {batch.seed}\n# expansion-hash: {batch.expansion_hash}\nindex,value\n".encode())
         for lo in range(0, len(values), _CSV_LINES):
@@ -537,6 +539,6 @@ def write_samples_csv(batch: SampleBatch, path, tool_version: str = "") -> None:
         "generator": batch.generator,
         "expansion-hash": batch.expansion_hash,
     }
-    with open(f"{path}.meta.json", "w", newline="\n") as fh:
+    with _rewrite(f"{path}.meta.json") as fh:
         json.dump(meta, fh, indent=2)
         fh.write("\n")

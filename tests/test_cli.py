@@ -57,7 +57,11 @@ def test_verify_report_file(tmp_path, capsys):
     out_path = tmp_path / "report.txt"
     assert main(["verify", "--cases", "5", "--out", str(out_path)]) == 0
     assert "suites passed" in out_path.read_text()
+    # a rerun with a one byte shorter report ("cases=5" after "cases=10") leaves no stale byte
+    assert main(["verify", "--cases", "10", "--out", str(out_path)]) == 0
     capsys.readouterr()
+    assert main(["verify", "--cases", "5", "--out", str(out_path)]) == 0
+    assert out_path.read_text() == capsys.readouterr().out
 
 
 def test_converge_rerun_is_byte_identical(tmp_path, capsys):
@@ -68,6 +72,32 @@ def test_converge_rerun_is_byte_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
     out = capsys.readouterr().out
     assert "fitted_rate" in out
+    # a shorter rerun into the same path gives a fresh run's bytes
+    assert main(["converge", "--n-max", "1024", "--out", str(b)]) == 0
+    assert main(["converge", "--n-max", "4", "--out", str(b)]) == 0
+    assert main(["converge", "--n-max", "4", "--out", str(a)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("target", ["file", "symlink", "devnull"])
+def test_converge_rewrites_its_out_in_place(target, tmp_path, capsys):
+    # the file keeps its inode and mode, a symlink stays one, and a file that is not regular is not cut
+    fresh, path = tmp_path / "fresh.csv", tmp_path / "converge.csv"
+    assert main(["converge", "--n-max", "4", "--out", str(fresh)]) == 0
+    path.write_bytes(b"x" * 100_000)
+    path.chmod(0o640)
+    out = {"file": str(path), "symlink": str(tmp_path / "link.csv"), "devnull": os.devnull}[target]
+    if target == "symlink":
+        os.symlink(path, out)
+    inode = os.stat(out).st_ino
+    assert main(["converge", "--n-max", "4", "--out", out]) == 0
+    assert os.stat(out).st_ino == inode
+    if target != "devnull":
+        assert os.path.islink(out) == (target == "symlink")
+        assert path.read_bytes() == fresh.read_bytes()
+        assert path.stat().st_mode & 0o777 == 0o640
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(
@@ -165,6 +195,12 @@ def test_dist_rerun_is_byte_identical(tmp_path, capsys):
     report = json.loads(a_json.read_text())
     for key in ("n", "N", "seed", "ks_lognormal", "ks_log_normal", "frac_nonpositive", "target_mu", "target_sigma_sq"):
         assert key in report
+    # 1000 samples into the paths that hold 2000 give a fresh run's bytes
+    args[args.index("2000")] = "1000"
+    assert main(args + ["--out", str(b_json), "--samples-out", str(b_csv)]) == 0
+    assert main(args + ["--out", str(tmp_path / "c.json"), "--samples-out", str(tmp_path / "c.csv")]) == 0
+    for name in ("json", "csv", "csv.meta.json"):
+        assert (tmp_path / f"c.{name}").read_bytes() == (tmp_path / f"b.{name}").read_bytes()
     capsys.readouterr()
 
 

@@ -531,6 +531,18 @@ def test_power_indices_and_counts_are_integers():
             fn()
     with pytest.raises(ValueError, match="n_max must be an integer"):
         default_n_schedule(True)
+    # a seed is checked the same way: True is not seed 1, and 2.7 fails here rather than inside numpy
+    for fn in (
+        lambda: sampling.sample_batch(X11, 4, True),
+        lambda: sampling.ou_apply_mc(X11, 0.5, [0.3], 4, True),
+        lambda: sampling.ou_apply_mc(X11, 0.0, [0.3], 4, True),
+        lambda: limit_distribution_test(X11, 4, 1000, True),
+    ):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            fn()
+    for fn in (lambda: sampling.sample_batch(X11, 4, 2.7), lambda: sampling.ou_apply_mc(X11, 0.5, [0.3], 4, 2.7)):
+        with pytest.raises(TypeError, match="interpreted as an integer"):
+            fn()
 
 
 def test_convergence_report_rejects_small_n(monkeypatch):

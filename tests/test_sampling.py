@@ -559,6 +559,28 @@ def test_csv_lines_index_widths_across_slices(monkeypatch):
             assert _formatted_lines(values, lo) == _repr_lines(values, lo)
 
 
+def test_samples_csv_failing_mid_write_leaves_no_stale_tail(tmp_path, monkeypatch):
+    # the CSV is written over in place: an exception in the second slice leaves the header and the
+    # first slice, cut to that length, not the tail of the longer file written there before
+    batch = sample_batch(univariate([1.0, 0.5]), 30, seed=3)
+    monkeypatch.setattr(sampling, "_CSV_LINES", 7)
+    path = tmp_path / "s.csv"
+    write_samples_csv(batch, path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    csv_lines = sampling._csv_lines
+
+    def fail_on_second_slice(v, lo):
+        if lo > 0:
+            raise RuntimeError("second slice")
+        return csv_lines(v, lo)
+
+    monkeypatch.setattr(sampling, "_csv_lines", fail_on_second_slice)
+    with pytest.raises(RuntimeError, match="second slice"):
+        write_samples_csv(batch, path)
+    assert lines[2] == b"index,value\n"
+    assert path.read_bytes() == b"".join(lines[: 3 + 7])
+
+
 def test_samples_csv_is_the_repr_writer_across_slices(tmp_path, monkeypatch):
     special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -1e-05, 1e16]
     values = np.concatenate([special, np.random.default_rng(43).standard_normal(30), special])

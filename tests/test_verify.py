@@ -66,6 +66,15 @@ def test_case_count_is_an_integer():
         run_suite("gamma-composition", cases=0)
 
 
+def test_seed_is_an_integer():
+    # True ran the seed-1 cases, and 2.7 failed inside numpy's SeedSequence
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        run_suite("gamma-composition", seed=True, cases=3)
+    with pytest.raises(TypeError, match="interpreted as an integer"):
+        run_suite("gamma-composition", seed=2.7, cases=3)
+    assert run_suite("gamma-composition", seed=np.int64(1), cases=3) == run_suite("gamma-composition", seed=1, cases=3)
+
+
 def test_suite_results_are_pinned():
     # any change to a suite's draws, its worst-case fold or its tolerance
     # changes some (name, cases, worst deviation, tolerance, verdict)
